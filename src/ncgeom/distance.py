@@ -2,33 +2,48 @@
 
 The distance between point states p and q is the supremum of f(q) - f(p)
 over functions whose commutator with the (doubled) operator has norm at
-most one.  Constants drop out of the commutator and the objective is
-homogeneous of degree zero in f, so the solver climbs the scale-invariant
-ratio R(f) = (f(q) - f(p)) / ||[D, f]|| with a multi-start subgradient
-method.  A brute-force refined-grid oracle provides independent values on
-small instances.
+most one.  For real f the doubled and undoubled norms agree, so with f(p)
+pinned to zero it is the semidefinite program
 
-For real f the doubled and undoubled commutator norms agree, so all real
-optimization happens on the base matrix.
+    maximize f(q)  s.t.  M(f) = [[I, C(f)], [C(f)^T, I]] = I + sum_k f_k B_k >= 0,
+
+C(f) = D o (f_j - f_i).  `distance` runs a long-step log-det barrier Newton
+method (Boyd & Vandenberghe, Convex Optimization, 11.6) on
+-t f(q) - log det M(f) from the strictly feasible f = 0, multiplying t by a
+constant after each centering; its line search keeps the Cholesky factor of
+M valid, so every iterate is feasible and f(q) is a lower bound.  Each B_k
+has rank at most four, which gives the Newton Hessian in O(n^3).
+
+The upper bound is a dual certificate: for the Newton step df at W = M^-1,
+Z = (W - W dM W) / t with dM = sum_k df_k B_k satisfies tr(Z B_k) = -delta_kq
+for every free k and is positive semidefinite when the Newton decrement is
+below one, so tr(Z) bounds the distance by weak duality.  A solve stops when
+tr(Z) and f(q) agree to a relative gap `tol` and raises NumericError rather
+than return an uncertified value.  A brute-force refined-grid oracle gives
+independent values on small instances.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .matrix_rep import AdjacencyMatrix, DoubledOperator
+from .errors import NumericError, ValidationError
+from .matrix_rep import AdjacencyMatrix, DoubledOperator, commutator_differential
 
 DEFAULT_SEED = 0x5EED
-DEFAULT_STARTS = 32
-DEFAULT_TOL = 1e-7
-DEFAULT_MAX_ITER = 100_000
-TIE_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # relative duality gap at which a solve stops
 ORACLE_MAX_POINTS = 6
+
+T_START = 1.0
+T_FACTOR = 50.0  # barrier parameter growth after each centering
+CENTERED = 0.25  # squared Newton decrement at which t grows; below 1 keeps Z > 0
+MAX_NEWTON_STEPS = 500
+LINE_SEARCH_ALPHA = 0.25  # fraction of the predicted decrease a step must achieve
+MIN_STEP = 1e-12
+RESIDUAL_TOL = 1e-9  # largest accepted |tr(Z B_k) + delta_kq|
 
 
 def _base_matrix(operator) -> np.ndarray:
@@ -72,44 +87,25 @@ class DistanceProblem:
 
 @dataclass(frozen=True)
 class DistanceSolution:
+    """`value` = optimizer[q] - optimizer[p] at norm `constraint_norm`, the
+    certified `upper_bound`, and `status` "certified" or "infinite"."""
+
     value: float
     optimizer: np.ndarray
     constraint_norm: float
-    oracle_value: float | None = None
-    upper_bound: float | None = None
+    upper_bound: float
+    newton_steps: int
+    status: str
 
 
-def _commutator(d: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return d * (f[None, :] - f[:, None])
-
-
-def commutator_norm(operator, f, tol: float = 1e-10, max_iter: int = 20_000) -> float:
-    """Operator norm of [D, f] by power iteration on the Gram matrix."""
+def commutator_norm(operator, f) -> float:
+    """Operator norm of [D, f], its largest singular value."""
     f = np.asarray(f)
     if isinstance(operator, DoubledOperator):
-        c = operator.block @ operator.represent(f) - operator.represent(f) @ operator.block
+        c = commutator_differential(operator.block, np.concatenate([f, f]))
     else:
-        d = _base_matrix(operator)
-        if f.shape != (d.shape[0],):
-            raise ValidationError("function length must match the operator size")
-        c = _commutator(d, f)
-    gram = c.conj().T @ c
-    m = gram.shape[0]
-    v = np.ones(m) + np.linspace(0.0, 0.1, m)  # deterministic, generic start
-    v /= np.linalg.norm(v)
-    prev = -1.0
-    rq = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        rq = float(np.real(np.conj(v) @ gram @ v))
-        if abs(rq - prev) <= tol * max(rq, 1e-30):
-            break
-        prev = rq
-    return math.sqrt(max(rq, 0.0))
+        c = commutator_differential(_base_matrix(operator), f)
+    return float(np.linalg.norm(c, 2))
 
 
 def _undirected_components(d: np.ndarray) -> np.ndarray:
@@ -131,195 +127,163 @@ def _undirected_components(d: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _shortest_path_warm_start(d: np.ndarray, src: int) -> np.ndarray:
-    """Undirected weighted hop distances; a feasible-shape starting function."""
-    w = np.maximum(d, d.T)
+def _lmi(d: np.ndarray, f: np.ndarray, identity: float = 1.0) -> np.ndarray:
+    """identity * I + sum_k f_k B_k, the 2n x 2n block form of [D, f]."""
     n = d.shape[0]
-    dist = np.full(n, np.inf)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v in np.flatnonzero(w[u]):
-            cand = du + 1.0 / w[u, v]
-            if cand < dist[v]:
-                dist[v] = cand
-                heapq.heappush(heap, (cand, int(v)))
-    dist[np.isinf(dist)] = 0.0
-    return dist
+    c = commutator_differential(d, f)
+    m = identity * np.eye(2 * n)
+    m[:n, n:] = c
+    m[n:, :n] = c.T
+    return m
 
 
-def _batched_top_subgradients(d: np.ndarray, c: np.ndarray):
-    """Top singular values and tie-averaged subgradients of f -> ||[D, f]||.
+def _lmi_adjoint(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """tr(X B_k) for every k.
 
-    c is the stack of commutator matrices, one per start.  The subgradient
-    of a simple top singular value sigma = u^T C v is
-    grad_k = v_k (D^T u)_k - u_k (D v)_k; degenerate tops within TIE_TOL are
-    averaged.
+    B_k has the blocks A_k = D[:, k] e_k^T - e_k D[k, :] and A_k^T, so
+    tr(X B_k) = <Y, A_k> with Y = X_12 + X_21^T: column sum minus row sum
+    of D o Y.
     """
-    u, s, vt = np.linalg.svd(c)
-    dtu = np.einsum("ik,sij->skj", d, u)  # (S, k, j) = (D^T u_j)_k
-    dv = np.einsum("ki,sji->sjk", d, vt)  # (S, j, k) = (D v_j)_k
-    grads = vt * dtu.transpose(0, 2, 1) - u.transpose(0, 2, 1) * dv
-    tie = s >= (s[:, :1] - TIE_TOL)
-    weights = tie / tie.sum(axis=1, keepdims=True)
-    grad = np.einsum("sj,sjk->sk", weights, grads)
-    return s[:, 0], grad
-
-
-def _cutting_plane_refine(d, p, q, seeds, tol=1e-9, max_rounds=150):
-    """Refine the convex program  max f(q) s.t. ||[D, f]|| <= 1, f(p) = 0.
-
-    The spectral-norm ball is an intersection of half-spaces
-    u^T [D, f] v <= 1 over unit pairs (u, v), each linear in f.  Kelley's
-    method alternates a small LP over the accumulated cuts (an outer
-    approximation, hence an upper bound) with adding the cuts active at the
-    LP optimum; rescaled LP optima stay feasible, hence lower bounds.
-    Returns (best_f, lower, upper).
-    """
-    from scipy.optimize import linprog
-
     n = d.shape[0]
-    box = 2.0 * n * float((1.0 / d[d != 0]).max())
-    bounds = [(-box, box)] * n
-    bounds[p] = (0.0, 0.0)
-    lp_options = {
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-    }
-    cuts: list[np.ndarray] = []
-    lower = -math.inf
-    best_f = None
-
-    def visit(f):
-        nonlocal lower, best_f
-        u, s, vt = np.linalg.svd(_commutator(d, f))
-        if s[0] > 1e-30:
-            val = (f[q] - f[p]) / s[0]
-            if val > lower:
-                lower, best_f = val, f / s[0]
-        added = 0
-        for j in range(n):
-            if s[j] >= s[0] - TIE_TOL and s[j] > 1e-30:
-                g = vt[j] * (d.T @ u[:, j]) - u[:, j] * (d @ vt[j])
-                if all(np.max(np.abs(g - e)) > 1e-12 for e in cuts):
-                    cuts.append(g)
-                    added += 1
-        return added
-
-    for f in seeds:
-        visit(np.asarray(f, dtype=float))
-    upper = math.inf
-    objective = np.zeros(n)
-    objective[q] = -1.0
-    for _ in range(max_rounds):
-        res = linprog(
-            objective,
-            A_ub=np.array(cuts),
-            b_ub=np.ones(len(cuts)),
-            bounds=bounds,
-            method="highs",
-            options=lp_options,
-        )
-        if not res.success:
-            break
-        upper = float(res.x[q])
-        added = visit(res.x)
-        if upper - lower <= tol * (1.0 + abs(upper)) or added == 0:
-            break
-    return best_f, lower, upper
+    dy = d * (x[:n, n:] + x[n:, :n].T)
+    return dy.sum(axis=0) - dy.sum(axis=1)
 
 
-def distance(
-    prob: DistanceProblem,
-    seed: int = DEFAULT_SEED,
-    starts: int = DEFAULT_STARTS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    patience: int = 40,
-) -> DistanceSolution:
-    """Multi-start subgradient ascent plus cutting-plane certification.
+def _barrier_hessian(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H_kl = tr(W B_k W B_l), the Hessian of -log det M at W = M^-1.
 
-    The ascent phase climbs the scale-invariant ratio from the shortest
-    path warm start and random starts; it only has to land in the right
-    basin, because the refinement phase exploits the convexity of the
-    constrained form to certify the value with matching lower and upper
-    bounds far below `tol`.
+    B_k = L_k S L_k^T with L_k = [P D[:, k], Q e_k, P e_k, Q D[k, :]^T],
+    where P and Q embed R^n as the top and bottom half of R^2n and S swaps
+    the first two columns and the last two with a minus sign.  With the
+    4 x 4 blocks G_kl = L_k^T W L_l, H_kl = tr(S G_kl S G_lk).  In terms of
+    K = S L^T W L (4n x 4n, one n-block per column type of L) that is the
+    sum of K[ak, gl] K[gl, ak] over the 16 block pairs, so H costs four
+    n x n x 2n products instead of an O(n^4) contraction.
+    """
+    n = d.shape[0]
+    w_top, w_bot = w[:, :n], w[:, n:]
+    wl = np.hstack([w_top @ d, w_bot, w_top, w_bot @ d.T])
+    k = np.vstack([wl[n:], d.T @ wl[:n], -(d @ wl[n:]), -wl[:n]])
+    return (k * k.T).reshape(4, n, 4, n).sum(axis=(0, 2))
+
+
+def _log_det(chol: np.ndarray) -> float:
+    return 2.0 * float(np.log(np.diagonal(chol)).sum())
+
+
+def _dual_bound(d: np.ndarray, w: np.ndarray, df: np.ndarray, t: float, p: int, q: int) -> float:
+    """tr(Z) for the certificate Z = (W - W dM W) / t, after checking Z.
+
+    Every B_k is traceless, so a negative eigenvalue -e of Z is absorbed by
+    Z + e I at the price 2n e on the bound.
+    """
+    z = (w - w @ _lmi(d, df, identity=0.0) @ w) / t
+    z = 0.5 * (z + z.T)
+    residual = _lmi_adjoint(d, z)
+    residual[q] += 1.0
+    residual[p] = 0.0  # f(p) is pinned; tr(Z B_p) follows from the others
+    if not float(np.abs(residual).max()) <= RESIDUAL_TOL:
+        raise NumericError(f"dual certificate residual {np.abs(residual).max():.3g}")
+    shift = max(0.0, -float(np.linalg.eigvalsh(z)[0]))
+    return float(np.trace(z)) + z.shape[0] * shift
+
+
+def _barrier_solve(d: np.ndarray, p: int, q: int, tol: float):
+    """Certified max f(q) s.t. ||[D, f]|| <= 1, f(p) = 0 on a connected D.
+
+    Returns (f, upper_bound, newton_steps) with M(f) strictly positive
+    definite and upper_bound - f(q) <= tol * upper_bound.
+    """
+    n = d.shape[0]
+    free = np.arange(n) != p
+    f = np.zeros(n)
+    chol = np.eye(2 * n)  # Cholesky factor of M(0) = I
+    t = T_START
+    for steps in range(MAX_NEWTON_STEPS):
+        chol_inv = np.linalg.inv(chol)
+        w = chol_inv.T @ chol_inv
+        grad_barrier = -_lmi_adjoint(d, w)  # gradient of -log det M
+        hess = _barrier_hessian(d, w)[np.ix_(free, free)]
+        while True:
+            grad = grad_barrier.copy()
+            grad[q] -= t
+            try:
+                step = np.linalg.solve(hess, -grad[free])
+            except np.linalg.LinAlgError as exc:
+                raise NumericError("singular Newton system") from exc
+            df = np.zeros(n)
+            df[free] = step
+            decrement2 = float(-grad[free] @ step)
+            if decrement2 > CENTERED:
+                break
+            upper = _dual_bound(d, w, df, t, p, q)
+            if upper - f[q] <= tol * upper:
+                return f, upper, steps
+            t *= T_FACTOR
+        # backtracking on the barrier objective; a failed factorization
+        # means the trial point left the feasible set
+        log_det = _log_det(chol)
+        s = 1.0
+        while True:
+            try:
+                trial = np.linalg.cholesky(_lmi(d, f + s * df))
+            except np.linalg.LinAlgError:
+                trial = None
+            if trial is not None:
+                change = -t * s * df[q] - (_log_det(trial) - log_det)
+                if change <= -LINE_SEARCH_ALPHA * s * decrement2:
+                    break
+            s *= 0.5
+            if s < MIN_STEP:
+                raise NumericError("centering cannot keep M(f) positive definite")
+        f = f + s * df
+        chol = trial
+    raise NumericError(f"no certificate after {MAX_NEWTON_STEPS} Newton steps")
+
+
+def distance(prob: DistanceProblem, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> DistanceSolution:
+    """Certified Connes distance by the log-det barrier method.
+
+    `seed` is unused: the solver is deterministic.  It stays in the
+    signature for existing callers.  Raises NumericError when the barrier
+    iteration breaks down or the dual certificate fails.
     """
     d = prob.base
+    if np.iscomplexobj(d):
+        raise ValidationError("the distance solver needs a real operator")
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
     n = d.shape[0]
     p, q = prob.p, prob.q
     labels = _undirected_components(d)
     if labels[p] != labels[q]:
         indicator = (labels == labels[q]).astype(float)
-        norm = commutator_norm(d, indicator)
         # no function constraint couples the components, so R is unbounded
         return DistanceSolution(
-            value=math.inf, optimizer=indicator, constraint_norm=norm
+            value=math.inf,
+            optimizer=indicator,
+            constraint_norm=commutator_norm(d, indicator),
+            upper_bound=math.inf,
+            newton_steps=0,
+            status="infinite",
         )
-    rng = np.random.default_rng(seed)
-    warm = _shortest_path_warm_start(d, p)
-    scale = max(warm[q], 1.0 / d[d != 0].max())
-    fs = rng.normal(size=(starts, n)) * scale
-    fs[0] = warm
-    fs[:, p] = 0.0
-
-    best_val = -math.inf
-    best_f = fs[0].copy()
-    stagnant = 0
-    stall_tol = max(tol, 1e-4)
-    for t in range(min(max_iter, 400)):
-        c = d[None, :, :] * (fs[:, None, :] - fs[:, :, None])
-        h = np.linalg.norm(c.reshape(starts, -1), axis=1)  # cheap zero screen
-        dead = h < 1e-14
-        if np.any(dead):
-            fs[dead] = rng.normal(size=(int(dead.sum()), n)) * scale
-            fs[:, p] = 0.0
-            c = d[None, :, :] * (fs[:, None, :] - fs[:, :, None])
-        sigma, grad_h = _batched_top_subgradients(d, c)
-        # normalize onto the shell h = 1, where R is just f(q); the
-        # subgradient of the 1-homogeneous h is unchanged by the rescale
-        fs /= sigma[:, None]
-        sign = np.where(fs[:, q] >= 0, 1.0, -1.0)
-        fs *= sign[:, None]
-        ratios = fs[:, q]
-        top = float(ratios.max())
-        if top > best_val + stall_tol * (1.0 + abs(best_val)):
-            stagnant = 0
-        else:
-            stagnant += 1
-        if top > best_val:
-            best_val = top
-            best_f = fs[int(ratios.argmax())].copy()
-        if stagnant > patience:
-            break
-        # gradient of R at the normalized point: e_q - R * grad(h)
-        grad = -ratios[:, None] * (grad_h * sign[:, None])
-        grad[:, q] += 1.0
-        grad[:, p] = 0.0
-        norms = np.linalg.norm(grad, axis=1)
-        norms[norms == 0] = 1.0
-        step = 0.4 * (1.0 + best_val) / math.sqrt(t + 1.0)
-        fs += step * grad / norms[:, None]
-        fs[:, p] = 0.0
-
-    # subgradient steps crawl near nonsmooth optima (tied singular values);
-    # the convex refinement certifies the value with a two-sided bound
-    order = np.argsort(fs[:, q])[::-1]
-    seeds = [best_f, warm] + [fs[s] for s in order[:4]]
-    refined, lower, upper = _cutting_plane_refine(d, p, q, seeds)
-    optimizer = refined if refined is not None else best_f
-    value = float(optimizer[q] - optimizer[p])
-    norm = float(
-        np.linalg.svd(_commutator(d, optimizer), compute_uv=False)[0]
-    )
+    # other components only add directions along which nothing changes
+    comp = np.flatnonzero(labels == labels[p])
+    local = {int(v): k for k, v in enumerate(comp)}
+    f, upper, steps = _barrier_solve(d[np.ix_(comp, comp)], local[p], local[q], tol)
+    # Round f to multiples of 2^-44 times its size, far inside the margin
+    # M(f) > 0 leaves: adding a constant on that grid then changes no
+    # difference f_j - f_i, so [D, f + c] equals [D, f] bit for bit.
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(f).max()))[1] - 44)
+    optimizer = np.zeros(n)
+    optimizer[comp] = np.round(f / unit) * unit
     return DistanceSolution(
-        value=value,
+        value=float(optimizer[q] - optimizer[p]),
         optimizer=optimizer,
-        constraint_norm=norm,
-        upper_bound=upper if math.isfinite(upper) else None,
+        constraint_norm=commutator_norm(d, optimizer),
+        upper_bound=upper,
+        newton_steps=steps,
+        status="certified",
     )
 
 

@@ -295,3 +295,105 @@ def test_problem_validation():
         DistanceProblem(TWO_POINT, 0, 5)
     with pytest.raises(ValidationError):
         commutator_norm(TWO_POINT, [1.0, 2.0, 3.0])
+
+
+# -- certified barrier solver ------------------------------------------------
+
+
+def grid_matrix(k):
+    """Directed k x k grid, unit arrows to the right and downwards."""
+    d = np.zeros((k * k, k * k))
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                d[v, v + 1] = 1.0
+            if r + 1 < k:
+                d[v, v + k] = 1.0
+    return d
+
+
+def assert_certified(sol, d):
+    assert sol.status == "certified"
+    assert sol.newton_steps > 0
+    assert sol.value <= sol.upper_bound + 1e-12
+    assert sol.upper_bound - sol.value <= 1e-6 * (1.0 + sol.upper_bound)
+    c = d * (sol.optimizer[None, :] - sol.optimizer[:, None])
+    assert np.linalg.norm(c, 2) <= 1.0 + 1e-9
+
+
+def test_grid6_corner_certified():
+    d = grid_matrix(6)
+    sol = distance(DistanceProblem(d, 0, 35))
+    assert sol.value >= 5.8268
+    assert_certified(sol, d)
+
+
+def test_random16_certified_with_exact_norm():
+    rng = np.random.default_rng(16)
+    while True:
+        d = (rng.random((16, 16)) < 0.25) * rng.uniform(0.4, 2.0, size=(16, 16))
+        np.fill_diagonal(d, 0.0)
+        if (0, 15) in connected_pairs(d):
+            break
+    sol = distance(DistanceProblem(d, 0, 15))
+    assert_certified(sol, d)
+    c = d * (sol.optimizer[None, :] - sol.optimizer[:, None])
+    assert commutator_norm(d, sol.optimizer) == pytest.approx(
+        np.linalg.svd(c, compute_uv=False)[0], rel=1e-13
+    )
+
+
+def test_weighted_chain32_sums_lengths():
+    ells = np.random.default_rng(32).uniform(0.3, 2.0, size=31)
+    d = chain_matrix(ells)
+    sol = distance(DistanceProblem(d, 0, 31))
+    assert sol.value == pytest.approx(ells.sum(), abs=1e-6)
+    assert_certified(sol, d)
+
+
+def test_relative_precision_at_any_length_scale():
+    for scale in (1e-4, 1e4):
+        sol = distance(DistanceProblem(FIG1 * scale, 0, 2))
+        assert sol.value * scale == pytest.approx(math.sqrt(2.0), rel=1e-8)
+        assert sol.upper_bound - sol.value <= 1e-9 * sol.upper_bound
+
+
+def test_grid8_corner_certified():
+    d = grid_matrix(8)
+    assert_certified(distance(DistanceProblem(d, 0, 63)), d)
+
+
+def test_disconnected_solution_record():
+    d = np.zeros((4, 4))
+    d[0, 1] = 1.0
+    d[2, 3] = 1.0
+    sol = distance(DistanceProblem(d, 1, 3))
+    assert sol.status == "infinite"
+    assert math.isinf(sol.upper_bound) and sol.newton_steps == 0
+
+
+def test_stalled_solve_raises(monkeypatch):
+    import ncgeom.distance as solver
+    from ncgeom.errors import NumericError
+
+    monkeypatch.setattr(solver, "MAX_NEWTON_STEPS", 3)
+    with pytest.raises(NumericError):
+        distance(DistanceProblem(FIG1, 0, 2))
+
+
+def test_barrier_derivatives_match_definitions():
+    from ncgeom.distance import _barrier_hessian, _lmi, _lmi_adjoint
+
+    rng = np.random.default_rng(7)
+    n = 5
+    d = (rng.random((n, n)) < 0.6) * rng.uniform(0.4, 2.0, size=(n, n))
+    np.fill_diagonal(d, 0.0)
+    f = rng.normal(size=n)
+    f /= 2.0 * commutator_norm(d, f)
+    w = np.linalg.inv(_lmi(d, f))
+    b = [_lmi(d, np.eye(n)[k], identity=0.0) for k in range(n)]
+    grad = [np.trace(w @ bk) for bk in b]
+    hess = [[np.trace(w @ bk @ w @ bl) for bl in b] for bk in b]
+    assert np.allclose(_lmi_adjoint(d, w), grad, rtol=1e-12, atol=1e-12)
+    assert np.allclose(_barrier_hessian(d, w), hess, rtol=1e-12, atol=1e-12)
