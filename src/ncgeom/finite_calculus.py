@@ -15,11 +15,15 @@ whenever the inputs are exact.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -177,7 +181,9 @@ def _rref(rows: list[dict]) -> dict:
 
     Rows map paths to coefficients; columns are ordered lexicographically by
     path.  Returns {pivot_path: row_dict} with unit pivots and pivot columns
-    cleared from every other row.
+    cleared from every other row.  The back substitution is quadratic in the
+    pivot count, so callers split independent rows into blocks first (see
+    `ReducedCalculus._relation_pivots`).
     """
     pivots: dict[Path, dict] = {}
     for raw in rows:
@@ -219,6 +225,14 @@ def _rref(rows: list[dict]) -> dict:
     return pivots
 
 
+def _group(paths: list[Path], end: int) -> dict[int, list[Path]]:
+    """Paths grouped by their vertex at position `end`, in their order."""
+    out: dict[int, list[Path]] = {}
+    for path in paths:
+        out.setdefault(path[end], []).append(path)
+    return out
+
+
 class ReducedCalculus:
     """A digraph calculus: admissible path bases and quotient relations.
 
@@ -247,6 +261,12 @@ class ReducedCalculus:
     def _build(self):
         n = self.graph.n
         out = {i: sorted(j for (i2, j) in self._arrows if i2 == i) for i in range(n)}
+        # two-arrow detours i -> k -> j around each deleted arrow (i, j)
+        detours = []
+        for (i, j) in sorted(self._deleted):
+            mids = [k for k in out[i] if (k, j) in self._arrows]
+            if mids:
+                detours.append((i, j, mids))
         self.basis_by_degree.append([(i,) for i in range(n)])
         self.relations_by_degree.append([])
         self._pivots_by_degree.append({})
@@ -254,7 +274,7 @@ class ReducedCalculus:
             prev = self.basis_by_degree[r - 1]
             cur = [p + (j,) for p in prev for j in out[p[-1]]]
             self.basis_by_degree.append(cur)
-            pivots = self._relation_pivots(r) if r >= 2 and self._deleted else {}
+            pivots = self._relation_pivots(r, detours)
             self._pivots_by_degree.append(pivots)
             rels = [
                 FormExpr(pivots[lead]) for lead in sorted(pivots)
@@ -265,32 +285,48 @@ class ReducedCalculus:
                 return
         self.truncated = True
 
-    def _relation_pivots(self, r: int) -> dict:
+    def _relation_pivots(self, r: int, detours: list) -> dict:
         """Span of the degree-r differential ideal, seen on admissible paths.
 
         Every generator a * d(e_ij) * b of the ideal with (i, j) deleted
-        projects onto admissible paths as a sum over two-arrow detours
-        i -> k -> j spliced between an admissible prefix ending at i and an
-        admissible suffix starting at j; all other ideal generators project
-        to zero because their paths traverse the deleted arrow itself.
+        projects onto admissible paths as a sum over the two-arrow detours
+        (i, j, [k, ...]) spliced between an admissible prefix P ending at i
+        and an admissible suffix Q starting at j; all other ideal generators
+        project to zero because their paths traverse the deleted arrow itself.
+
+        All terms of one generator start at P[0] and end at Q[-1], so the
+        rows fall into independent blocks, one per endpoint pair, whose
+        column sets are disjoint.  Each block is reduced on its own and the
+        pivots are merged.  The merged rows are in reduced row echelon form
+        and span the same space as all rows together, so by uniqueness of
+        that form they equal the pivots of one elimination over every row.
         """
-        rows = []
-        for (i, j) in sorted(self._deleted):
-            mids = [
-                k
-                for k in range(self.graph.n)
-                if (i, k) in self._arrows and (k, j) in self._arrows
-            ]
-            if not mids:
-                continue
-            for p in range(r - 1):
-                q = r - 2 - p
-                prefixes = [P for P in self.basis_by_degree[p] if P[-1] == i]
-                suffixes = [Q for Q in self.basis_by_degree[q] if Q[0] == j]
-                for P in prefixes:
-                    for Q in suffixes:
-                        rows.append({P + (k,) + Q: 1 for k in mids})
-        return _rref(rows)
+        blocks: dict[tuple[int, int], list[dict]] = {}
+        if detours:
+            by_last = [_group(self.basis_by_degree[p], -1) for p in range(r - 1)]
+            by_first = [_group(self.basis_by_degree[q], 0) for q in range(r - 1)]
+            for i, j, mids in detours:
+                for p in range(r - 1):
+                    suffixes = by_first[r - 2 - p].get(j, ())
+                    for P in by_last[p].get(i, ()):
+                        for Q in suffixes:
+                            rows = blocks.setdefault((P[0], Q[-1]), [])
+                            rows.append({P + (k,) + Q: 1 for k in mids})
+        start = time.perf_counter()
+        pivots = {}
+        for rows in blocks.values():
+            pivots.update(_rref(rows))
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "degree %d: %d paths, %d relations, %d endpoint blocks, "
+                "elimination %.6f s",
+                r,
+                len(self.basis_by_degree[r]),
+                len(pivots),
+                len(blocks),
+                time.perf_counter() - start,
+            )
+        return pivots
 
     # -- inspection ---------------------------------------------------
 

@@ -95,9 +95,16 @@ def _parse_graph_json(text: str, path: str):
                 raise ValidationError(
                     f"{path}: length entry {entry!r} references unknown point"
                 )
-            if not isinstance(ell, (int, float)) or ell <= 0:
-                raise ValidationError(f"{path}: length for {entry!r} must be positive")
-            lengths[(index[a], index[b])] = float(ell)
+            if not isinstance(ell, (int, float)) or not 0 < ell < math.inf:
+                raise ValidationError(
+                    f"{path}: length for {entry!r} must be positive and finite"
+                )
+            arrow = (index[a], index[b])
+            if arrow not in arrows:
+                raise ValidationError(
+                    f"{path}: length entry {entry!r} names an arrow not in 'arrows'"
+                )
+            lengths[arrow] = float(ell)
     graph = Digraph(FiniteSet(tuple(points)), frozenset(arrows))
     return graph, lengths
 
@@ -136,8 +143,10 @@ def _parse_edge_list(text: str, path: str):
                 raise ValidationError(
                     f"{path}: line {lineno}: bad length {parts[2]!r}"
                 ) from None
-            if ell <= 0:
-                raise ValidationError(f"{path}: line {lineno}: length must be positive")
+            if not 0 < ell < math.inf:
+                raise ValidationError(
+                    f"{path}: line {lineno}: length must be positive and finite"
+                )
             lengths[arrow] = ell
     if not labels:
         raise ValidationError(f"{path}: no arrows found")

@@ -8,6 +8,7 @@ Weights are stored directly in the matrix entries (1/length per arrow).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class AdjacencyMatrix:
             raise ValidationError("adjacency matrix must be square")
         if np.any(np.diagonal(m) != 0):
             raise ValidationError("adjacency matrix must have zero diagonal")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("adjacency weights must be finite")
         if np.any(m < 0):
             raise ValidationError("adjacency weights must be nonnegative")
         object.__setattr__(self, "entries", m)
@@ -40,8 +43,10 @@ class AdjacencyMatrix:
         m = np.zeros((graph.n, graph.n))
         for (i, j) in graph.arrows:
             ell = 1.0 if lengths is None else lengths.get((i, j), 1.0)
-            if ell <= 0:
-                raise ValidationError(f"arrow length for {(i, j)} must be positive")
+            if not 0 < ell < math.inf:
+                raise ValidationError(
+                    f"arrow length for {(i, j)} must be positive and finite"
+                )
             m[i, j] = 1.0 / ell
         return cls(m)
 

@@ -142,3 +142,12 @@ def test_validation():
         AdjacencyMatrix(np.array([[0.0, -1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         commutator_differential(FIG1, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_and_lengths_rejected(bad):
+    with pytest.raises(ValidationError):
+        AdjacencyMatrix(np.array([[0.0, bad], [1.0, 0.0]]))
+    graph = Digraph.from_arrows(2, [(0, 1)])
+    with pytest.raises(ValidationError):
+        AdjacencyMatrix.from_digraph(graph, {(0, 1): abs(bad)})
