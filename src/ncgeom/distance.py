@@ -2,8 +2,10 @@
 
 The distance between point states p and q is the supremum of f(q) - f(p)
 over functions whose commutator with the (doubled) operator has norm at
-most one.  For real f the doubled and undoubled norms agree, so with f(p)
-pinned to zero it is the semidefinite program
+most one.  For real D the doubled and undoubled norms agree for every f,
+since [D^T, f] = -[D, f]^T.  The solver takes f real (the oracle's complex
+mode cross-checks that reduction), so with f(p) pinned to zero it is the
+semidefinite program
 
     maximize f(q)  s.t.  M(f) = [[I, C(f)], [C(f)^T, I]] = I + sum_k f_k B_k >= 0,
 
@@ -31,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .matrix_rep import AdjacencyMatrix, DoubledOperator, commutator_differential
+from .matrix_rep import base_matrix, commutator_differential
 
-DEFAULT_SEED = 0x5EED
 DEFAULT_TOL = 1e-9  # relative duality gap at which a solve stops
 ORACLE_MAX_POINTS = 6
 
@@ -46,16 +47,11 @@ MIN_STEP = 1e-12
 RESIDUAL_TOL = 1e-9  # largest accepted |tr(Z B_k) + delta_kq|
 
 
-def _base_matrix(operator) -> np.ndarray:
-    if isinstance(operator, DoubledOperator):
-        n = operator.n_points
-        return np.asarray(operator.block[n:, :n])
-    if isinstance(operator, AdjacencyMatrix):
-        return operator.entries
-    m = np.asarray(operator, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("operator must be a square matrix")
-    return m
+def _real_base(operator) -> np.ndarray:
+    d = base_matrix(operator)
+    if np.iscomplexobj(d):
+        raise ValidationError("the distance needs a real operator")
+    return d
 
 
 @dataclass(frozen=True)
@@ -74,15 +70,7 @@ class DistanceProblem:
 
     @property
     def base(self) -> np.ndarray:
-        return _base_matrix(self.operator)
-
-    @property
-    def doubled(self) -> bool:
-        """Whether the constraint norm lives on the doubled operator."""
-        if isinstance(self.operator, DoubledOperator):
-            return True
-        d = self.base
-        return not np.allclose(d, d.conj().T, atol=0, rtol=0)
+        return _real_base(self.operator)
 
 
 @dataclass(frozen=True)
@@ -99,12 +87,9 @@ class DistanceSolution:
 
 
 def commutator_norm(operator, f) -> float:
-    """Operator norm of [D, f], its largest singular value."""
-    f = np.asarray(f)
-    if isinstance(operator, DoubledOperator):
-        c = commutator_differential(operator.block, np.concatenate([f, f]))
-    else:
-        c = commutator_differential(_base_matrix(operator), f)
+    """Operator norm of [D, f], its largest singular value; the doubled
+    operator gives the same norm because D is real."""
+    c = commutator_differential(_real_base(operator), f)
     return float(np.linalg.norm(c, 2))
 
 
@@ -241,16 +226,13 @@ def _barrier_solve(d: np.ndarray, p: int, q: int, tol: float):
     raise NumericError(f"no certificate after {MAX_NEWTON_STEPS} Newton steps")
 
 
-def distance(prob: DistanceProblem, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> DistanceSolution:
+def distance(prob: DistanceProblem, tol: float = DEFAULT_TOL) -> DistanceSolution:
     """Certified Connes distance by the log-det barrier method.
 
-    `seed` is unused: the solver is deterministic.  It stays in the
-    signature for existing callers.  Raises NumericError when the barrier
-    iteration breaks down or the dual certificate fails.
+    Deterministic.  Raises NumericError when the barrier iteration breaks
+    down or the dual certificate fails.
     """
     d = prob.base
-    if np.iscomplexobj(d):
-        raise ValidationError("the distance solver needs a real operator")
     if not tol > 0:
         raise ValidationError("tol must be positive")
     n = d.shape[0]
@@ -287,16 +269,14 @@ def distance(prob: DistanceProblem, seed: int = DEFAULT_SEED, tol: float = DEFAU
     )
 
 
-def distance_matrix(operator, points=None, **solver_options) -> np.ndarray:
+def distance_matrix(operator, points=None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All-pairs symmetric distance matrix with zero diagonal."""
-    d = _base_matrix(operator)
+    d = base_matrix(operator)
     points = list(range(d.shape[0])) if points is None else list(points)
     m = np.zeros((len(points), len(points)))
     for a in range(len(points)):
         for b in range(a + 1, len(points)):
-            sol = distance(
-                DistanceProblem(operator, points[a], points[b]), **solver_options
-            )
+            sol = distance(DistanceProblem(operator, points[a], points[b]), tol)
             m[a, b] = m[b, a] = sol.value
     return m
 
@@ -306,12 +286,9 @@ def distance_matrix(operator, points=None, **solver_options) -> np.ndarray:
 _GRID_SIZES = {1: 4001, 2: 61, 3: 25, 4: 13, 5: 9}
 
 
-def _oracle_ratio_batch(d, p, q, fs, doubled_complex=False):
+def _oracle_ratio_batch(d, p, q, fs):
     c = d[None, :, :] * (fs[:, None, :] - fs[:, :, None])
     s = np.linalg.svd(c, compute_uv=False)[:, 0]
-    if doubled_complex:
-        c2 = d.conj().T[None, :, :] * (fs[:, None, :] - fs[:, :, None])
-        s = np.maximum(s, np.linalg.svd(c2, compute_uv=False)[:, 0])
     num = fs[:, q] - fs[:, p]
     num = np.abs(num) if np.iscomplexobj(fs) else num
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -399,8 +376,6 @@ def oracle_distance(prob: DistanceProblem, passes: int = 3) -> float:
             fs = np.zeros((coords.shape[0], n))
             fs[:, free] = coords
             return fs
-
-        norm_doubled = False
     else:
         # f(q) may be taken real and nonnegative (global phase); every other
         # free coordinate contributes a real and an imaginary part
@@ -413,8 +388,6 @@ def oracle_distance(prob: DistanceProblem, passes: int = 3) -> float:
             for idx, k in enumerate(others):
                 fs[:, k] = coords[:, 1 + 2 * idx] + 1j * coords[:, 2 + 2 * idx]
             return fs
-
-        norm_doubled = prob.doubled
 
     m = _GRID_SIZES.get(dims, 7)
     center = np.full(dims, box / 2.0)
@@ -434,9 +407,7 @@ def oracle_distance(prob: DistanceProblem, passes: int = 3) -> float:
         chunk = 20_000
         for lo in range(0, coords.shape[0], chunk):
             batch = coords[lo : lo + chunk]
-            vals[lo : lo + chunk] = _oracle_ratio_batch(
-                d, p, q, assemble(batch), doubled_complex=norm_doubled
-            )
+            vals[lo : lo + chunk] = _oracle_ratio_batch(d, p, q, assemble(batch))
         top = int(np.argmax(vals))
         if pass_index == 0:
             # keep a few diverse first-pass candidates for the final polish
@@ -450,9 +421,7 @@ def oracle_distance(prob: DistanceProblem, passes: int = 3) -> float:
         half_width = 2.0 * cell
 
     def batch_fun(xs):
-        return _oracle_ratio_batch(
-            d, p, q, assemble(xs), doubled_complex=norm_doubled
-        )
+        return _oracle_ratio_batch(d, p, q, assemble(xs))
 
     step0 = max(float(half_width.max()), box / (m - 1))
     result = best_val

@@ -176,6 +176,18 @@ class FormExpr:
         return "FormExpr(" + " + ".join(bits) + ")"
 
 
+def _subtract(row: dict, c, prow: dict, lead: Path) -> None:
+    """row -= c * prow on every column but `lead`, dropping zero entries."""
+    for p, v in prow.items():
+        if p == lead:
+            continue
+        nv = row.get(p, 0) - c * v
+        if nv:
+            row[p] = nv
+        else:
+            row.pop(p, None)
+
+
 def _rref(rows: list[dict]) -> dict:
     """Reduced row echelon form of sparse rows over the rationals.
 
@@ -195,33 +207,13 @@ def _rref(rows: list[dict]) -> dict:
                 inv = Fraction(1) / row[lead]
                 pivots[lead] = {p: c * inv for p, c in row.items()}
                 break
-            c = row.pop(lead)
-            for p, v in piv.items():
-                if p == lead:
-                    continue
-                nv = row.get(p, Fraction(0)) - c * v
-                if nv:
-                    row[p] = nv
-                else:
-                    row.pop(p, None)
+            _subtract(row, row.pop(lead), piv, lead)
     # clear pivot columns above, from the largest pivot down
     for lead in sorted(pivots, reverse=True):
         prow = pivots[lead]
         for lead2, row2 in pivots.items():
-            if lead2 == lead:
-                continue
-            c = row2.get(lead)
-            if not c:
-                continue
-            del row2[lead]
-            for p, v in prow.items():
-                if p == lead:
-                    continue
-                nv = row2.get(p, Fraction(0)) - c * v
-                if nv:
-                    row2[p] = nv
-                else:
-                    row2.pop(p, None)
+            if lead2 != lead and lead in row2:
+                _subtract(row2, row2.pop(lead), prow, lead)
     return pivots
 
 
@@ -381,12 +373,8 @@ class ReducedCalculus:
     # -- algebra ------------------------------------------------------
 
     def _normalized(self, raw: dict) -> FormExpr:
-        """Project onto admissible paths and reduce modulo the relations."""
-        out = {}
-        for path, c in raw.items():
-            if c == 0 or not self.is_admissible_path(path):
-                continue
-            out[path] = c
+        """Reduce admissible paths modulo the relations."""
+        out = {path: c for path, c in raw.items() if c != 0}
         degs = {len(p) - 1 for p in out}
         for r in degs:
             if r >= len(self._pivots_by_degree):
@@ -400,18 +388,8 @@ class ReducedCalculus:
                     "raise degree_cap to normalize"
                 )
             for lead, row in self._pivots_by_degree[r].items():
-                c = out.get(lead)
-                if not c:
-                    continue
-                del out[lead]
-                for p, v in row.items():
-                    if p == lead:
-                        continue
-                    nv = out.get(p, 0) - c * v
-                    if nv:
-                        out[p] = nv
-                    else:
-                        out.pop(p, None)
+                if lead in out:
+                    _subtract(out, out.pop(lead), row, lead)
         return FormExpr(out)
 
     def multiply(self, a: FormExpr, b: FormExpr) -> FormExpr:
@@ -441,8 +419,6 @@ class ReducedCalculus:
                     if left is not None and (left, j) not in self._arrows:
                         continue
                     if right is not None and (j, right) not in self._arrows:
-                        continue
-                    if left is None and right is None:  # unreachable: paths nonempty
                         continue
                     path = P[:pos] + (j,) + P[pos:]
                     out[path] = out.get(path, 0) + sign * c

@@ -17,9 +17,8 @@ from .errors import ValidationError
 from .finite_calculus import Digraph, FiniteSet, FormExpr
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def dumps_canonical(obj) -> str:
     """Deterministic JSON text; dict keys sorted, floats at 17 digits."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -40,16 +39,16 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         items = []
         for key in sorted(obj, key=str):
             items.append(
-                json.dumps(str(key)) + ": " + dumps_canonical(obj[key], indent)
+                json.dumps(str(key)) + ": " + dumps_canonical(obj[key])
             )
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_canonical(v, indent) for v in obj) + "]"
+        return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
     # numpy scalars and arrays
     if hasattr(obj, "item") and getattr(obj, "shape", None) == ():
-        return dumps_canonical(obj.item(), indent)
+        return dumps_canonical(obj.item())
     if hasattr(obj, "tolist"):
-        return dumps_canonical(obj.tolist(), indent)
+        return dumps_canonical(obj.tolist())
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -81,7 +80,10 @@ def _parse_graph_json(text: str, path: str):
             raise ValidationError(f"{path}: arrow {entry!r} references unknown point")
         if a == b:
             raise ValidationError(f"{path}: self loop {entry!r} not allowed")
-        arrows.add((index[a], index[b]))
+        arrow = (index[a], index[b])
+        if arrow in arrows:
+            raise ValidationError(f"{path}: duplicate arrow {entry!r}")
+        arrows.add(arrow)
     lengths = None
     if "lengths" in data:
         lengths = {}
@@ -95,7 +97,8 @@ def _parse_graph_json(text: str, path: str):
                 raise ValidationError(
                     f"{path}: length entry {entry!r} references unknown point"
                 )
-            if not isinstance(ell, (int, float)) or not 0 < ell < math.inf:
+            # type(), not isinstance(): JSON true and false load as bool, an int
+            if type(ell) not in (int, float) or not 0 < ell < math.inf:
                 raise ValidationError(
                     f"{path}: length for {entry!r} must be positive and finite"
                 )
@@ -104,6 +107,8 @@ def _parse_graph_json(text: str, path: str):
                 raise ValidationError(
                     f"{path}: length entry {entry!r} names an arrow not in 'arrows'"
                 )
+            if arrow in lengths:
+                raise ValidationError(f"{path}: second length for arrow {entry!r}")
             lengths[arrow] = float(ell)
     graph = Digraph(FiniteSet(tuple(points)), frozenset(arrows))
     return graph, lengths

@@ -72,13 +72,6 @@ class LatticeSpec:
     def coordinate(self, axis: int, index: int) -> float:
         return self.base_point[axis] + self.spacings[axis] * index
 
-    def indices(self):
-        grids = [range(lo, hi) for lo, hi in self.window]
-        out = [()]
-        for g in grids:
-            out = [t + (i,) for t in out for i in g]
-        return out
-
 
 def line_spec(spacing: float, lo: int, hi: int, x0: float = 0.0) -> LatticeSpec:
     return LatticeSpec((spacing,), ((lo, hi),), (x0,))

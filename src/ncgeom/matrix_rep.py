@@ -26,6 +26,8 @@ class AdjacencyMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.entries):
+            raise ValidationError("adjacency weights must be real")
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("adjacency matrix must be square")
@@ -40,6 +42,9 @@ class AdjacencyMatrix:
     @classmethod
     def from_digraph(cls, graph: Digraph, lengths: dict | None = None):
         """Weighted matrix with entries 1/length; unweighted arrows get 1."""
+        stray = set(lengths or ()) - graph.arrows
+        if stray:
+            raise ValidationError(f"lengths given for non-arrows {sorted(stray)}")
         m = np.zeros((graph.n, graph.n))
         for (i, j) in graph.arrows:
             ell = 1.0 if lengths is None else lengths.get((i, j), 1.0)
@@ -53,9 +58,6 @@ class AdjacencyMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def arrows(self):
-        return [tuple(ij) for ij in np.argwhere(self.entries != 0)]
 
     def is_selfadjoint(self, tol: float = TRIPLE_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.T), initial=0.0) <= tol)
@@ -77,7 +79,7 @@ class DoubledOperator:
         f = np.asarray(values)
         if f.shape != (self.n_points,):
             raise ValidationError("function length must match the point count")
-        return np.diag(np.concatenate([f, f]))
+        return represent_function(np.concatenate([f, f]))
 
 
 @dataclass(frozen=True)
@@ -100,17 +102,19 @@ class TripleReport:
             and self.commute_ok
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "selfadjoint_ok": self.selfadjoint_ok,
-            "grading_square_ok": self.grading_square_ok,
-            "anticommute_ok": self.anticommute_ok,
-            "commute_ok": self.commute_ok,
-            "selfadjoint_residual": self.selfadjoint_residual,
-            "grading_square_residual": self.grading_square_residual,
-            "anticommute_residual": self.anticommute_residual,
-            "commute_residual": self.commute_residual,
-        }
+
+def base_matrix(operator) -> np.ndarray:
+    """The n x n matrix D of an AdjacencyMatrix, a DoubledOperator (its lower
+    left block) or a square array, in the dtype it has."""
+    if isinstance(operator, DoubledOperator):
+        n = operator.n_points
+        return np.asarray(operator.block[n:, :n])
+    if isinstance(operator, AdjacencyMatrix):
+        return operator.entries
+    m = np.asarray(operator)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError("operator must be a square matrix")
+    return m
 
 
 def represent_function(values) -> np.ndarray:
@@ -119,7 +123,7 @@ def represent_function(values) -> np.ndarray:
 
 def commutator_differential(matrix, values) -> np.ndarray:
     """[D, f] entrywise: D_ij (f(j) - f(i))."""
-    d = matrix.entries if isinstance(matrix, AdjacencyMatrix) else np.asarray(matrix)
+    d = base_matrix(matrix)
     f = np.asarray(values)
     if f.shape != (d.shape[0],):
         raise ValidationError("function length must match the matrix size")
@@ -127,7 +131,7 @@ def commutator_differential(matrix, values) -> np.ndarray:
 
 
 def double(matrix) -> DoubledOperator:
-    d = matrix.entries if isinstance(matrix, AdjacencyMatrix) else np.asarray(matrix)
+    d = base_matrix(matrix)
     n = d.shape[0]
     zero = np.zeros_like(d)
     block = np.block([[zero, d.conj().T], [d, zero]])

@@ -133,6 +133,14 @@ def field_residual(gauge, h: HodgeStar = HodgeStar()) -> LatticeField:
     return d_one_form(star(one_form, h))
 
 
+def _edge_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """0, a_0, a_0 + a_1, ... along `axis`: the edge sums up to each site."""
+    out = np.zeros_like(a)
+    head = (slice(None),) * axis
+    out[head + (slice(1, None),)] = np.cumsum(a[head + (slice(-1),)], axis=axis)
+    return out
+
+
 def potential(
     w: LatticeOneForm, order: str = "t-first", tol: float = CLOSEDNESS_TOL
 ) -> LatticeField:
@@ -148,20 +156,10 @@ def potential(
     l0, l1 = w.spec.spacings
     w0 = w.components[0].values
     w1 = w.components[1].values
-    zeros_line_t = np.zeros((1,) + w0.shape[2:], dtype=w0.dtype)
-    zeros_line_x = np.zeros((1,) + w1.shape[2:], dtype=w1.dtype)
-    zeros_plane_t = np.zeros((1,) + w0.shape[1:], dtype=w0.dtype)
-    zeros_plane_x = np.zeros(w1.shape[:1] + (1,) + w1.shape[2:], dtype=w1.dtype)
     if order == "t-first":
-        col = l0 * np.concatenate([zeros_line_t, np.cumsum(w0[:-1, 0], axis=0)])
-        rows = l1 * np.concatenate(
-            [zeros_plane_x, np.cumsum(w1[:, :-1], axis=1)], axis=1
-        )
-        vals = col[:, None] + rows
+        vals = l0 * _edge_sums(w0[:, 0], 0)[:, None] + l1 * _edge_sums(w1, 1)
     elif order == "x-first":
-        row0 = l1 * np.concatenate([zeros_line_x, np.cumsum(w1[0, :-1], axis=0)])
-        cols = l0 * np.concatenate([zeros_plane_t, np.cumsum(w0[:-1], axis=0)])
-        vals = row0[None, :] + cols
+        vals = l1 * _edge_sums(w1[0], 0)[None, :] + l0 * _edge_sums(w0, 0)
     else:
         raise ValidationError(f"unknown integration order {order!r}")
     return LatticeField(w.spec, vals)
@@ -243,7 +241,7 @@ def current_ladder(
     for m in range(1, m_max + 1):
         try:
             current = covariant_derivative(ladder.chis[-1], A)
-            resid = d_one_form(star(current, h)).max_abs()
+            resid = field_residual(current, h).max_abs()
         except ValidationError as exc:
             ladder.note = f"window exhausted at level {m}: {exc}"
             return ladder
@@ -337,36 +335,36 @@ _YOSHIDA_D = (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)
 BOUNDARIES = ("fixed", "open", "periodic")
 
 
-def toda_force(q: np.ndarray, l1: float, boundary: str = "fixed") -> np.ndarray:
-    """Acceleration -(1/l1^2)(e^{q_k - q_{k+1}} - e^{q_{k-1} - q_k})."""
+def _bonds(q: np.ndarray, boundary: str):
+    """Bond exponentials e^{q_k - q_{k+1}} of the chain, and the bond to the
+    left and to the right of each site (0 where an open end has none).
+
+    Fixed ends are q = 0 walls beyond both ends; periodic chains wrap.
+    """
     if boundary == "periodic":
-        right = np.exp(q - np.roll(q, -1))
-        return -(right - np.roll(right, 1)) / l1**2
+        bonds = np.exp(q - np.roll(q, -1))
+        return bonds, np.roll(bonds, 1), bonds
     if boundary == "fixed":
         qe = np.concatenate([[0.0], q, [0.0]])
-        right = np.exp(qe[1:-1] - qe[2:])
-        left = np.exp(qe[:-2] - qe[1:-1])
-        return -(right - left) / l1**2
+        bonds = np.exp(qe[:-1] - qe[1:])
+        return bonds, bonds[:-1], bonds[1:]
     if boundary == "open":
-        right = np.exp(q[:-1] - q[1:])
-        out = np.concatenate([[0.0], right]) - np.concatenate([right, [0.0]])
-        return out / l1**2
+        bonds = np.exp(q[:-1] - q[1:])
+        padded = np.concatenate([[0.0], bonds, [0.0]])
+        return bonds, padded[:-1], padded[1:]
     raise ValidationError(f"boundary must be one of {BOUNDARIES}")
 
 
+def toda_force(q: np.ndarray, l1: float, boundary: str = "fixed") -> np.ndarray:
+    """Acceleration -(1/l1^2)(e^{q_k - q_{k+1}} - e^{q_{k-1} - q_k})."""
+    _, left, right = _bonds(q, boundary)
+    return -(right - left) / l1**2
+
+
 def toda_energy(q, p, l1: float, boundary: str = "fixed") -> float:
-    q = np.asarray(q, dtype=float)
+    bonds, _, _ = _bonds(np.asarray(q, dtype=float), boundary)
     kin = 0.5 * float(np.sum(np.asarray(p) ** 2))
-    if boundary == "periodic":
-        pot = float(np.sum(np.exp(q - np.roll(q, -1))))
-    elif boundary == "fixed":
-        qe = np.concatenate([[0.0], q, [0.0]])
-        pot = float(np.sum(np.exp(qe[:-1] - qe[1:])))
-    elif boundary == "open":
-        pot = float(np.sum(np.exp(q[:-1] - q[1:])))
-    else:
-        raise ValidationError(f"boundary must be one of {BOUNDARIES}")
-    return kin + pot / l1**2
+    return kin + float(np.sum(bonds)) / l1**2
 
 
 @dataclass

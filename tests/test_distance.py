@@ -14,7 +14,7 @@ from ncgeom.distance import (
     oracle_distance,
 )
 from ncgeom.errors import ValidationError
-from ncgeom.matrix_rep import double
+from ncgeom.matrix_rep import AdjacencyMatrix, double
 
 TWO_POINT = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -68,6 +68,22 @@ def test_weighted_chain_norm_formula():
         assert commutator_norm(double(d), f) == pytest.approx(expected, rel=1e-9)
 
 
+def test_doubled_norm_equals_undoubled_for_complex_f():
+    # [D^T, f] = -[D, f]^T for real D and every f, so [D_hat, f_hat] has the
+    # singular values of [D, f]; checked against the explicit 2n x 2n product
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(2, 8))
+        d = (rng.random((n, n)) < 0.5) * rng.uniform(0.2, 2.0, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        block = double(d).block
+        f_hat = np.diag(np.concatenate([f, f]))
+        expected = np.linalg.svd(block @ f_hat - f_hat @ block, compute_uv=False)[0]
+        assert commutator_norm(double(d), f) == pytest.approx(expected, rel=1e-12)
+        assert commutator_norm(d, f) == pytest.approx(expected, rel=1e-12)
+
+
 def test_norm_matches_svd_on_random_matrices():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -104,7 +120,6 @@ def test_example1_two_points():
     assert sol.value == pytest.approx(1.0, abs=1e-6)
     assert sol.constraint_norm <= 1.0 + 1e-9
     # the matrix is selfadjoint, so no doubling is applied
-    assert not DistanceProblem(TWO_POINT, 0, 1).doubled
     doubled_sol = distance(DistanceProblem(double(TWO_POINT), 0, 1))
     assert doubled_sol.value == pytest.approx(sol.value, abs=1e-9)
 
@@ -159,8 +174,8 @@ def test_scale_and_shift_invariance():
 
 
 def test_determinism_for_fixed_seed():
-    a = distance(DistanceProblem(FIG5, 0, 3), seed=0x5EED)
-    b = distance(DistanceProblem(FIG5, 0, 3), seed=0x5EED)
+    a = distance(DistanceProblem(FIG5, 0, 3))
+    b = distance(DistanceProblem(FIG5, 0, 3))
     assert a.value == b.value
     assert np.array_equal(a.optimizer, b.optimizer)
 
@@ -286,6 +301,17 @@ def test_complex_oracle_matches_real_on_small_graphs():
 
 
 # -- validation --------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", [np.asarray, double, AdjacencyMatrix])
+def test_complex_operator_rejected_in_every_form(form):
+    # no form may keep only the real part, as numpy does with a ComplexWarning
+    d = np.array([[0, 2 + 1j], [1, 0]])
+    with pytest.raises(ValidationError):
+        DistanceProblem(form(d), 0, 1)
+    with pytest.raises(ValidationError):
+        commutator_norm(form(d), [0.0, 1.0])
 
 
 def test_problem_validation():

@@ -343,6 +343,24 @@ def test_block_pivots_equal_one_elimination_over_all_rows(graph):
         assert calc._pivots_by_degree[r] == _rref(all_relation_rows(calc, r))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(sorted(complete_arrows(n)))),
+        st.randoms(use_true_random=False),
+    )
+))
+def test_multiply_and_differential_return_admissible_paths(case):
+    n, arrows, rng = case
+    calc = ReducedCalculus(Digraph.from_arrows(n, arrows), degree_cap=4)
+    for _ in range(10):
+        a = random_expr(rng, calc, rng.randint(0, 1))
+        b = random_expr(rng, calc, rng.randint(0, 2))
+        for result in (multiply(a, b, calc), differential(a, calc)):
+            assert all(calc.is_admissible_path(p) for p in result.terms)
+
+
 def test_bidirected_3x4_grid_dimensions():
     calc = ReducedCalculus(Digraph.from_arrows(12, bigrid_arrows(3, 4)), degree_cap=6)
     assert calc.dimensions() == [12, 34, 58, 82, 106, 130, 154]

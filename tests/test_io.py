@@ -140,6 +140,13 @@ def test_edge_list_round_trip(tmp_path_factory, data):
     '{"points": [0, 1], "arrows": [[0, 1]], "lengths": [[0, 1, 1e999]]}',
     # a length for an arrow that is not listed
     '{"points": [0, 1], "arrows": [[0, 1]], "lengths": [[1, 0, 1.0]]}',
+    # true and false load as bool, a subclass of int
+    '{"points": [0, 1], "arrows": [[0, 1]], "lengths": [[0, 1, true]]}',
+    '{"points": [0, 1], "arrows": [[0, 1]], "lengths": [[0, 1, false]]}',
+    # a second length for the same arrow
+    '{"points": [0, 1], "arrows": [[0, 1]], "lengths": [[0, 1, 2.0], [0, 1, 5]]}',
+    # a repeated arrow, which the edge-list format rejects too
+    '{"points": [0, 1], "arrows": [[0, 1], [0, 1]]}',
 ])
 def test_json_graph_rejected(tmp_path, text):
     with pytest.raises(ValidationError, match="g.json"):

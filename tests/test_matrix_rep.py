@@ -151,3 +151,11 @@ def test_non_finite_weights_and_lengths_rejected(bad):
     graph = Digraph.from_arrows(2, [(0, 1)])
     with pytest.raises(ValidationError):
         AdjacencyMatrix.from_digraph(graph, {(0, 1): abs(bad)})
+
+
+def test_lengths_of_non_arrows_rejected():
+    graph = Digraph.from_arrows(2, [(0, 1)])
+    with pytest.raises(ValidationError, match=r"\(1, 0\)"):
+        AdjacencyMatrix.from_digraph(graph, {(1, 0): 3.0, (0, 1): 2.0})
+    m = AdjacencyMatrix.from_digraph(graph, {(0, 1): 2.0})
+    assert np.array_equal(m.entries, [[0.0, 0.5], [0.0, 0.0]])

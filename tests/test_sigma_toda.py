@@ -8,6 +8,7 @@ import pytest
 from ncgeom.errors import NumericError, ValidationError
 from ncgeom.lattice import LatticeField, LatticeOneForm, exterior_derivative
 from ncgeom.sigma_toda import (
+    BOUNDARIES,
     ChiLadder,
     HodgeStar,
     TodaState,
@@ -23,6 +24,7 @@ from ncgeom.sigma_toda import (
     star,
     star_product,
     toda_energy,
+    toda_force,
     toda_integrate,
     toda_run_discrete,
     toda_step_discrete,
@@ -407,6 +409,20 @@ def test_energy_nearly_conserved():
     traj = toda_integrate(q0, p0, 2.0, 1e-3, boundary="periodic")
     energies = traj.energies()
     assert np.max(np.abs(energies - energies[0])) < 1e-10
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_force_is_minus_energy_gradient(boundary):
+    q = 0.5 * np.random.default_rng(8).normal(size=6)
+    l1, eps = 1.3, 1e-6
+    grad = np.empty(6)
+    for k in range(6):
+        step = np.zeros(6)
+        step[k] = eps
+        up = toda_energy(q + step, np.zeros(6), l1, boundary)
+        down = toda_energy(q - step, np.zeros(6), l1, boundary)
+        grad[k] = (up - down) / (2 * eps)
+    assert np.max(np.abs(toda_force(q, l1, boundary) + grad)) < 1e-8
 
 
 def test_integrator_is_fourth_order():
