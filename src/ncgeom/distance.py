@@ -20,9 +20,9 @@ The upper bound is a dual certificate: for the Newton step df at W = M^-1,
 Z = (W - W dM W) / t with dM = sum_k df_k B_k satisfies tr(Z B_k) = -delta_kq
 for every free k and is positive semidefinite when the Newton decrement is
 below one, so tr(Z) bounds the distance by weak duality.  A solve stops when
-tr(Z) and f(q) agree to a relative gap `tol` and raises NumericError rather
-than return an uncertified value.  A brute-force refined-grid oracle gives
-independent values on small instances.
+tr(Z) and f(q) agree to the relative gap DEFAULT_TOL and raises NumericError
+rather than return an uncertified value.  A brute-force refined-grid oracle
+gives independent values on small instances.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .matrix_rep import base_matrix, commutator_differential
 
 DEFAULT_TOL = 1e-9  # relative duality gap at which a solve stops
 ORACLE_MAX_POINTS = 6
+ORACLE_PASSES = 3  # grid passes, each zoomed onto the previous incumbent
+POLISH_MIN_STEP = 1e-8  # pattern-search step at which the polish stops
+POLISH_MAX_SWEEPS = 2000
 
 T_START = 1.0
 T_FACTOR = 50.0  # barrier parameter growth after each centering
@@ -59,7 +62,6 @@ class DistanceProblem:
     operator: object
     p: int
     q: int
-    use_real_functions: bool = True
 
     def __post_init__(self):
         n = self.base.shape[0]
@@ -173,11 +175,11 @@ def _dual_bound(d: np.ndarray, w: np.ndarray, df: np.ndarray, t: float, p: int, 
     return float(np.trace(z)) + z.shape[0] * shift
 
 
-def _barrier_solve(d: np.ndarray, p: int, q: int, tol: float):
+def _barrier_solve(d: np.ndarray, p: int, q: int):
     """Certified max f(q) s.t. ||[D, f]|| <= 1, f(p) = 0 on a connected D.
 
     Returns (f, upper_bound, newton_steps) with M(f) strictly positive
-    definite and upper_bound - f(q) <= tol * upper_bound.
+    definite and upper_bound - f(q) <= DEFAULT_TOL * upper_bound.
     """
     n = d.shape[0]
     free = np.arange(n) != p
@@ -202,7 +204,7 @@ def _barrier_solve(d: np.ndarray, p: int, q: int, tol: float):
             if decrement2 > CENTERED:
                 break
             upper = _dual_bound(d, w, df, t, p, q)
-            if upper - f[q] <= tol * upper:
+            if upper - f[q] <= DEFAULT_TOL * upper:
                 return f, upper, steps
             t *= T_FACTOR
         # backtracking on the barrier objective; a failed factorization
@@ -226,15 +228,13 @@ def _barrier_solve(d: np.ndarray, p: int, q: int, tol: float):
     raise NumericError(f"no certificate after {MAX_NEWTON_STEPS} Newton steps")
 
 
-def distance(prob: DistanceProblem, tol: float = DEFAULT_TOL) -> DistanceSolution:
+def distance(prob: DistanceProblem) -> DistanceSolution:
     """Certified Connes distance by the log-det barrier method.
 
     Deterministic.  Raises NumericError when the barrier iteration breaks
     down or the dual certificate fails.
     """
     d = prob.base
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
     n = d.shape[0]
     p, q = prob.p, prob.q
     labels = _undirected_components(d)
@@ -252,7 +252,7 @@ def distance(prob: DistanceProblem, tol: float = DEFAULT_TOL) -> DistanceSolutio
     # other components only add directions along which nothing changes
     comp = np.flatnonzero(labels == labels[p])
     local = {int(v): k for k, v in enumerate(comp)}
-    f, upper, steps = _barrier_solve(d[np.ix_(comp, comp)], local[p], local[q], tol)
+    f, upper, steps = _barrier_solve(d[np.ix_(comp, comp)], local[p], local[q])
     # Round f to multiples of 2^-44 times its size, far inside the margin
     # M(f) > 0 leaves: adding a constant on that grid then changes no
     # difference f_j - f_i, so [D, f + c] equals [D, f] bit for bit.
@@ -269,15 +269,13 @@ def distance(prob: DistanceProblem, tol: float = DEFAULT_TOL) -> DistanceSolutio
     )
 
 
-def distance_matrix(operator, points=None, tol: float = DEFAULT_TOL) -> np.ndarray:
+def distance_matrix(operator) -> np.ndarray:
     """All-pairs symmetric distance matrix with zero diagonal."""
-    d = base_matrix(operator)
-    points = list(range(d.shape[0])) if points is None else list(points)
-    m = np.zeros((len(points), len(points)))
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            sol = distance(DistanceProblem(operator, points[a], points[b]), tol)
-            m[a, b] = m[b, a] = sol.value
+    n = base_matrix(operator).shape[0]
+    m = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            m[a, b] = m[b, a] = distance(DistanceProblem(operator, a, b)).value
     return m
 
 
@@ -318,7 +316,7 @@ def _polish_directions(dims: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _compass_polish(batch_fun, x0, step, min_step=1e-8, max_sweeps=2000):
+def _compass_polish(batch_fun, x0, step):
     """Pattern search: evaluate the direction stencil in one batch per
     sweep, ray-expand along the best improving direction, halve the step
     when nothing improves."""
@@ -327,7 +325,7 @@ def _compass_polish(batch_fun, x0, step, min_step=1e-8, max_sweeps=2000):
     ray = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     best = float(batch_fun(x[None, :])[0])
     sweeps = 0
-    while step > min_step and sweeps < max_sweeps:
+    while step > POLISH_MIN_STEP and sweeps < POLISH_MAX_SWEEPS:
         sweeps += 1
         vals = batch_fun(x[None, :] + step * dirs)
         k = int(np.argmax(vals))
@@ -346,13 +344,13 @@ def _grid_axes(center, half_width, m):
     return [np.linspace(c - hw, c + hw, m) for c, hw in zip(center, half_width)]
 
 
-def oracle_distance(prob: DistanceProblem, passes: int = 3) -> float:
+def oracle_distance(prob: DistanceProblem, complex_functions: bool = False) -> float:
     """Brute-force maximization of the ratio over a refined coordinate grid.
 
     One coordinate is pinned to zero at p; the first pass covers the box
     [0, B]^(N-1) with B = N times the longest edge, later passes zoom onto
     the incumbent, and a deterministic compass search squeezes the final
-    cell.  Real functions by default; the complex mode embeds the free
+    cell.  Real functions by default; `complex_functions` embeds the free
     phases for small N as a cross-check of the real-sufficiency reduction.
     """
     d = prob.base
@@ -363,13 +361,13 @@ def oracle_distance(prob: DistanceProblem, passes: int = 3) -> float:
     labels = _undirected_components(d)
     if labels[p] != labels[q]:
         return math.inf
-    if not prob.use_real_functions and n > 4:
+    if complex_functions and n > 4:
         raise ValidationError("complex oracle limited to 4 points")
     weights = np.abs(d[d != 0])
     box = n * float((1.0 / weights).max())
 
     free = [k for k in range(n) if k != p]
-    if prob.use_real_functions:
+    if not complex_functions:
         dims = len(free)
 
         def assemble(coords):
@@ -392,14 +390,14 @@ def oracle_distance(prob: DistanceProblem, passes: int = 3) -> float:
     m = _GRID_SIZES.get(dims, 7)
     center = np.full(dims, box / 2.0)
     half_width = np.full(dims, box / 2.0)
-    if not prob.use_real_functions:
+    if complex_functions:
         center[1:] = 0.0
         half_width[1:] = box / 2.0
 
     best_x = center.copy()
     best_val = -math.inf
     seeds = []
-    for pass_index in range(passes):
+    for pass_index in range(ORACLE_PASSES):
         axes = _grid_axes(center, half_width, m)
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([g.ravel() for g in mesh], axis=1)

@@ -123,8 +123,8 @@ class FormExpr:
         return cls()
 
     @classmethod
-    def from_path(cls, path: Sequence[int], coeff=1) -> "FormExpr":
-        return cls({tuple(path): coeff})
+    def from_path(cls, path: Sequence[int]) -> "FormExpr":
+        return cls({tuple(path): 1})
 
     @property
     def degree(self):
@@ -322,31 +322,32 @@ class ReducedCalculus:
 
     # -- inspection ---------------------------------------------------
 
-    def dimension(self, r: int) -> int:
+    def _built(self, r: int) -> bool:
+        """True when degree r was built, False past `max_degree`, where every
+        form is zero; raises below 0 and past the cap of a truncated calculus."""
+        if r < 0:
+            raise ValidationError(f"degree {r} is negative")
         if r < len(self.basis_by_degree):
-            return len(self.basis_by_degree[r]) - len(self.relations_by_degree[r])
+            return True
         if self.max_degree is not None:
-            return 0
+            return False
         raise ValidationError(
             f"degree {r} beyond cap {self.degree_cap}; calculus is truncated"
         )
+
+    def dimension(self, r: int) -> int:
+        if not self._built(r):
+            return 0
+        return len(self.basis_by_degree[r]) - len(self.relations_by_degree[r])
 
     def dimensions(self) -> list[int]:
         return [self.dimension(r) for r in range(len(self.basis_by_degree))]
 
     def basis(self, r: int) -> list[Path]:
-        if r < len(self.basis_by_degree):
-            return list(self.basis_by_degree[r])
-        if self.max_degree is not None:
-            return []
-        raise ValidationError(
-            f"degree {r} beyond cap {self.degree_cap}; calculus is truncated"
-        )
+        return list(self.basis_by_degree[r]) if self._built(r) else []
 
     def relations(self, r: int) -> list[FormExpr]:
-        if r < len(self.relations_by_degree):
-            return list(self.relations_by_degree[r])
-        return []
+        return list(self.relations_by_degree[r]) if self._built(r) else []
 
     @property
     def is_universal(self) -> bool:
@@ -365,28 +366,18 @@ class ReducedCalculus:
         for p in expr.terms:
             if not self.is_admissible_path(p):
                 raise ValidationError(f"path {p} is not admissible in this calculus")
-            if len(p) - 1 >= len(self.basis_by_degree) and self.max_degree is None:
-                raise ValidationError(
-                    f"degree {len(p) - 1} beyond cap {self.degree_cap}"
-                )
+            self._built(len(p) - 1)
 
     # -- algebra ------------------------------------------------------
 
     def _normalized(self, raw: dict) -> FormExpr:
         """Reduce admissible paths modulo the relations."""
         out = {path: c for path, c in raw.items() if c != 0}
-        degs = {len(p) - 1 for p in out}
-        for r in degs:
-            if r >= len(self._pivots_by_degree):
-                if self.max_degree is not None:
-                    # everything at and beyond max_degree is zero
-                    for p in [p for p in out if len(p) - 1 == r]:
-                        del out[p]
-                    continue
-                raise ValidationError(
-                    f"result degree {r} beyond cap {self.degree_cap}; "
-                    "raise degree_cap to normalize"
-                )
+        for r in {len(p) - 1 for p in out}:
+            if not self._built(r):
+                for p in [p for p in out if len(p) - 1 == r]:
+                    del out[p]
+                continue
             for lead, row in self._pivots_by_degree[r].items():
                 if lead in out:
                     _subtract(out, out.pop(lead), row, lead)
@@ -448,18 +439,16 @@ def build_universal(
 
 
 def reduce(
-    universal: ReducedCalculus,
-    kept_arrows: Iterable[tuple[int, int]],
-    degree_cap: int | None = None,
+    universal: ReducedCalculus, kept_arrows: Iterable[tuple[int, int]]
 ) -> ReducedCalculus:
-    """Quotient calculus keeping only the given arrows of the complete graph."""
+    """Quotient calculus keeping only the given arrows of the complete graph,
+    up to the universal calculus's degree cap."""
     kept = frozenset(tuple(a) for a in kept_arrows)
     extra = kept - complete_arrows(universal.graph.n)
     if extra:
         raise ValidationError(f"arrows {sorted(extra)} not in the complete digraph")
-    cap = universal.degree_cap if degree_cap is None else degree_cap
     return ReducedCalculus(
-        Digraph(universal.graph.base, kept), degree_cap=cap
+        Digraph(universal.graph.base, kept), degree_cap=universal.degree_cap
     )
 
 

@@ -1,4 +1,4 @@
-"""Input parsing and deterministic serialization shared by the CLI.
+"""Graph input parsing and deterministic JSON serialization.
 
 Digraphs load from JSON ({"points": [...], "arrows": [[i, j], ...],
 "lengths": [[i, j, l], ...]}) or from plain edge-list text with one
@@ -64,19 +64,25 @@ def _parse_graph_json(text: str, path: str):
     points = data["points"]
     if not isinstance(points, list) or not points:
         raise ValidationError(f"{path}: 'points' must be a nonempty list")
+    # type(), not isinstance(): JSON true and false load as bool, an int,
+    # and would match the labels 1 and 0
     index = {}
     for k, label in enumerate(points):
-        if not isinstance(label, (str, int)):
+        if type(label) not in (str, int):
             raise ValidationError(f"{path}: point label {label!r} must be str or int")
         if label in index:
             raise ValidationError(f"{path}: duplicate point label {label!r}")
         index[label] = k
+
+    def known(*labels):
+        return all(type(lab) in (str, int) and lab in index for lab in labels)
+
     arrows = set()
     for entry in data.get("arrows", []):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValidationError(f"{path}: arrow {entry!r} must be a [from, to] pair")
         a, b = entry
-        if a not in index or b not in index:
+        if not known(a, b):
             raise ValidationError(f"{path}: arrow {entry!r} references unknown point")
         if a == b:
             raise ValidationError(f"{path}: self loop {entry!r} not allowed")
@@ -93,11 +99,10 @@ def _parse_graph_json(text: str, path: str):
                     f"{path}: length entry {entry!r} must be [from, to, length]"
                 )
             a, b, ell = entry
-            if a not in index or b not in index:
+            if not known(a, b):
                 raise ValidationError(
                     f"{path}: length entry {entry!r} references unknown point"
                 )
-            # type(), not isinstance(): JSON true and false load as bool, an int
             if type(ell) not in (int, float) or not 0 < ell < math.inf:
                 raise ValidationError(
                     f"{path}: length for {entry!r} must be positive and finite"
@@ -186,18 +191,3 @@ def form_expr_from_json(records) -> FormExpr:
             c = c.real
         terms[path] = terms.get(path, 0) + c
     return FormExpr(terms)
-
-
-def load_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-
-
-def format_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"

@@ -12,13 +12,15 @@ using the matrix product for matrix-valued fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
 Window = tuple[tuple[int, int], ...]
+
+STRUCTURE_TOL = 1e-12
 
 
 def intersect_windows(a: Window, b: Window) -> Window:
@@ -283,23 +285,18 @@ def backward_derivative(f: LatticeField, axis: int) -> LatticeField:
     return (f - f.shift(axis, -1)) / f.spec.spacings[axis]
 
 
-def commute_past(f: LatticeField, axis: int, steps: int = 1) -> LatticeField:
-    """Coefficient shuffled past dx^axis: returns f(. + steps * l_axis)."""
-    return f.shift(axis, steps)
-
-
 def exterior_derivative(f: LatticeField) -> LatticeOneForm:
     return LatticeOneForm(
         tuple(forward_derivative(f, ax) for ax in range(f.spec.n))
     )
 
 
-def definite_integral(f: LatticeField, m: int, n: int, origin: int = 0) -> float:
-    """l * sum of f over indices origin-m .. origin+n-1 (1-D fields only)."""
+def definite_integral(f: LatticeField, m: int, n: int) -> float:
+    """l * sum of f over indices -m .. n-1 (1-D fields only)."""
     if f.spec.n != 1:
         raise ValidationError("definite_integral expects a 1-D field")
     lo, hi = f.spec.window[0]
-    a, b = origin - m, origin + n
+    a, b = -m, n
     if a < lo or b > hi:
         raise ValidationError(
             f"integration range [{a}, {b}) outside window [{lo}, {hi})"
@@ -363,9 +360,7 @@ def lattice_structure_tensor(spacings) -> StructureTensor:
     return StructureTensor(c)
 
 
-def check_structure_consistency(
-    c: StructureTensor, tol: float = 1e-12
-) -> StructureReport:
+def check_structure_consistency(c: StructureTensor) -> StructureReport:
     """Symmetry in the upper indices and pairwise commuting C^mu matrices."""
     arr = c.coefficients
     sym = float(np.max(np.abs(arr - arr.transpose(1, 0, 2)), initial=0.0))
@@ -374,7 +369,8 @@ def check_structure_consistency(
         for nu in range(mu + 1, c.n):
             a, b = c.matrix(mu), c.matrix(nu)
             comm = max(comm, float(np.max(np.abs(a @ b - b @ a), initial=0.0)))
-    return StructureReport(sym, comm, ok=(sym <= tol and comm <= tol))
+    ok = sym <= STRUCTURE_TOL and comm <= STRUCTURE_TOL
+    return StructureReport(sym, comm, ok=ok)
 
 
 def metric_from_structure(c: StructureTensor) -> np.ndarray:

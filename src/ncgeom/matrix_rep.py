@@ -59,8 +59,8 @@ class AdjacencyMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def is_selfadjoint(self, tol: float = TRIPLE_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.T), initial=0.0) <= tol)
+    def is_selfadjoint(self) -> bool:
+        return _maxabs(self.entries - self.entries.T) <= TRIPLE_TOL
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,17 @@ class DoubledOperator:
 
     block: np.ndarray
     grading: np.ndarray
+
+    def __post_init__(self):
+        b = np.asarray(self.block)
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] % 2:
+            raise ValidationError("doubled block must be square with even side")
+        n = b.shape[0] // 2
+        if np.any(b[:n, :n]) or np.any(b[n:, n:]):
+            raise ValidationError("doubled block must have zero diagonal blocks")
+        if not np.array_equal(b[:n, n:], b[n:, :n].conj().T):
+            raise ValidationError("doubled block must be [[0, D^dag], [D, 0]]")
+        object.__setattr__(self, "block", b)
 
     @property
     def n_points(self) -> int:
@@ -143,7 +154,7 @@ def _maxabs(m) -> float:
     return float(np.max(np.abs(m), initial=0.0))
 
 
-def verify_triple(op: DoubledOperator, fs=(), tol: float = TRIPLE_TOL) -> TripleReport:
+def verify_triple(op: DoubledOperator, fs=()) -> TripleReport:
     """Residuals of the even-triple identities for the doubled operator."""
     d_hat, g = op.block, op.grading
     sa = _maxabs(d_hat - d_hat.conj().T)
@@ -154,10 +165,10 @@ def verify_triple(op: DoubledOperator, fs=(), tol: float = TRIPLE_TOL) -> Triple
         f_hat = op.represent(f)
         comm = max(comm, _maxabs(g @ f_hat - f_hat @ g))
     return TripleReport(
-        selfadjoint_ok=sa <= tol,
-        grading_square_ok=g2 <= tol,
-        anticommute_ok=anti <= tol,
-        commute_ok=comm <= tol,
+        selfadjoint_ok=sa <= TRIPLE_TOL,
+        grading_square_ok=g2 <= TRIPLE_TOL,
+        anticommute_ok=anti <= TRIPLE_TOL,
+        commute_ok=comm <= TRIPLE_TOL,
         selfadjoint_residual=sa,
         grading_square_residual=g2,
         anticommute_residual=anti,

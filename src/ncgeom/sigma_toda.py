@@ -17,7 +17,7 @@ exactly by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,10 @@ FLATNESS_TOL = 1e-10
 FIELD_EQ_TOL = 1e-10
 CLOSEDNESS_TOL = 1e-9
 LADDER_VERIFY_TOL = 1e-9
+# step sizes of the discrete runs in `discrete_continuum_orders`, each a
+# multiple of the continuum reference step
+ORDER_L0S = (0.1, 0.05, 0.025)
+ORDER_REF_H = 1e-3
 
 
 def two_dim_spec(l0, l1, t_range, x_range) -> LatticeSpec:
@@ -116,21 +120,20 @@ class GaugeField:
     flatness_residual: float
 
 
-def maurer_cartan(a: LatticeField, flat_tol: float = FLATNESS_TOL) -> GaugeField:
+def maurer_cartan(a: LatticeField) -> GaugeField:
     """A = a^-1 da with the flatness check dA + AA = 0."""
     ainv = a.inverse()
     comps = tuple(ainv * forward_derivative(a, mu) for mu in (TIME, SPACE))
     one_form = LatticeOneForm(comps)
     flat = (d_one_form(one_form) + one_form_product(one_form, one_form)).max_abs()
-    if flat > flat_tol:
-        raise NumericError(f"flatness residual {flat:.3e} exceeds {flat_tol:.1e}")
+    if flat > FLATNESS_TOL:
+        raise NumericError(f"flatness residual {flat:.3e} exceeds {FLATNESS_TOL:.1e}")
     return GaugeField(a=a, one_form=one_form, flatness_residual=flat)
 
 
-def field_residual(gauge, h: HodgeStar = HodgeStar()) -> LatticeField:
-    """Coefficient of dt dx in d star A; zero iff the field equation holds."""
-    one_form = gauge.one_form if isinstance(gauge, GaugeField) else gauge
-    return d_one_form(star(one_form, h))
+def field_residual(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
+    """Coefficient of dt dx in d star w; zero iff the field equation holds."""
+    return d_one_form(star(w, h))
 
 
 def _edge_sums(a: np.ndarray, axis: int) -> np.ndarray:
@@ -141,9 +144,7 @@ def _edge_sums(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def potential(
-    w: LatticeOneForm, order: str = "t-first", tol: float = CLOSEDNESS_TOL
-) -> LatticeField:
+def potential(w: LatticeOneForm, order: str = "t-first") -> LatticeField:
     """Primitive of a closed one-form on a full rectangular window.
 
     Integrates along lattice edges from the lower window corner, first in
@@ -151,7 +152,7 @@ def potential(
     orders agree.  The primitive vanishes at the origin corner.
     """
     resid = d_one_form(w).max_abs()
-    if resid > tol:
+    if resid > CLOSEDNESS_TOL:
         raise NumericError(f"one-form is not closed; residual {resid:.3e}")
     l0, l1 = w.spec.spacings
     w0 = w.components[0].values
@@ -165,12 +166,7 @@ def potential(
     return LatticeField(w.spec, vals)
 
 
-def invert_star_d(
-    J: LatticeOneForm,
-    h: HodgeStar = HodgeStar(),
-    tol: float = CLOSEDNESS_TOL,
-    verify_tol: float = LADDER_VERIFY_TOL,
-) -> LatticeField:
+def invert_star_d(J: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
     """Solve star d(chi) = J for a conserved current J (d star J = 0).
 
     star J is closed by hypothesis; shifting it by +l0+l1 undoes the double
@@ -184,10 +180,10 @@ def invert_star_d(
     shifted = LatticeOneForm(
         tuple(c.shift(TIME, 1).shift(SPACE, 1) / scale for c in starj.components)
     )
-    chi = potential(shifted, tol=tol)
+    chi = potential(shifted)
     back = star(exterior_derivative(chi), h)
     err = (back - J).max_abs()
-    if err > verify_tol:
+    if err > LADDER_VERIFY_TOL:
         raise NumericError(f"star d chi misses J by {err:.3e}")
     return chi
 
@@ -220,7 +216,6 @@ def current_ladder(
     a: LatticeField,
     h: HodgeStar = HodgeStar(),
     m_max: int = 3,
-    field_eq_tol: float = FIELD_EQ_TOL,
 ) -> ChiLadder:
     """Iterate J^(m+1) = D chi^(m), chi^(m+1) = invert_star_d(J^(m+1)).
 
@@ -231,9 +226,9 @@ def current_ladder(
     gauge = maurer_cartan(a)
     A = gauge.one_form
     fres = field_residual(A, h).max_abs()
-    if fres > field_eq_tol:
+    if fres > FIELD_EQ_TOL:
         raise NumericError(
-            f"field equation residual {fres:.3e} exceeds {field_eq_tol:.1e}; "
+            f"field equation residual {fres:.3e} exceeds {FIELD_EQ_TOL:.1e}; "
             "the source does not solve the sigma-model"
         )
     chi0 = LatticeField.identity(a.spec, a.matrix_dim)
@@ -289,10 +284,8 @@ def toda_step_discrete(state: TodaState) -> TodaState:
     to stay positive; otherwise the step size l0 is too large for the data.
     """
     qp, qc = state.q_prev, state.q_curr
-    left = np.concatenate([[0.0], qc[:-1]])
-    right = np.concatenate([qc[1:], [0.0]])
-    ratio = (state.l0 / state.l1) ** 2
-    rhs = np.exp(qp - qc) - ratio * (np.exp(left - qc) - np.exp(qc - right))
+    _, left, right = _bonds(qc, "fixed")
+    rhs = np.exp(qp - qc) - (state.l0 / state.l1) ** 2 * (left - right)
     if np.any(rhs <= 0):
         site = int(np.argwhere(rhs <= 0)[0][0])
         raise NumericError(
@@ -414,28 +407,19 @@ def toda_integrate(
     )
 
 
-def discrete_continuum_orders(
-    q0,
-    p0,
-    t_final: float = 1.0,
-    l0s=(0.1, 0.05, 0.025),
-    l1: float = 1.0,
-    ref_h: float = 1e-3,
-):
-    """Observed convergence orders of the discrete flow against the continuum.
+def discrete_continuum_orders(q0, p0, t_final: float = 1.0, l1: float = 1.0):
+    """Observed convergence orders of the discrete flow against the continuum
+    at the step sizes ORDER_L0S.
 
     Each discrete run is seeded with the reference trajectory's first two
     slices, so the measured error is purely the scheme's O(l0) defect.
     Returns (errors, orders).
     """
     q0 = np.asarray(q0, dtype=float)
-    ref = toda_integrate(q0, p0, t_final, ref_h, l1=l1, boundary="fixed")
+    ref = toda_integrate(q0, p0, t_final, ORDER_REF_H, l1=l1, boundary="fixed")
     errors = []
-    for l0 in l0s:
-        per = l0 / ref_h
-        if abs(per - round(per)) > 1e-9:
-            raise ValidationError(f"l0 {l0} must be a multiple of ref_h {ref_h}")
-        per = int(round(per))
+    for l0 in ORDER_L0S:
+        per = int(round(l0 / ORDER_REF_H))
         n_final = int(round(t_final / l0))
         state = TodaState(q0, ref.q[per], l0, l1)
         run = toda_run_discrete(state, n_final - 1)

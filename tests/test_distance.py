@@ -294,8 +294,8 @@ def test_complex_oracle_matches_real_on_small_graphs():
         np.fill_diagonal(d, 0.0)
         if (0, 2) not in connected_pairs(d):
             continue
-        real = oracle_distance(DistanceProblem(d, 0, 2, use_real_functions=True))
-        cplx = oracle_distance(DistanceProblem(d, 0, 2, use_real_functions=False))
+        real = oracle_distance(DistanceProblem(d, 0, 2))
+        cplx = oracle_distance(DistanceProblem(d, 0, 2), complex_functions=True)
         assert cplx == pytest.approx(real, abs=2e-3)
         checked += 1
 

@@ -295,6 +295,18 @@ def test_degree_cap_truncation_reported():
         calc.dimension(4)
 
 
+def test_dimension_basis_and_relations_share_one_degree_range():
+    truncated = build_universal(4, degree_cap=2)
+    calc = fig1_calculus()  # every form of degree 3 and up is zero
+    for ask in (truncated.dimension, truncated.basis, truncated.relations):
+        with pytest.raises(ValidationError):
+            ask(5)
+    for ask in (calc.dimension, calc.basis, calc.relations):
+        with pytest.raises(ValidationError):
+            ask(-1)
+    assert (calc.dimension(5), calc.basis(5), calc.relations(5)) == (0, [], [])
+
+
 # -- endpoint-block elimination -----------------------------------------
 
 

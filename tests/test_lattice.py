@@ -12,7 +12,6 @@ from ncgeom.lattice import (
     StructureTensor,
     backward_derivative,
     check_structure_consistency,
-    commute_past,
     definite_integral,
     exterior_derivative,
     forward_derivative,
@@ -66,13 +65,13 @@ def test_commute_past_shifts():
     spec = LatticeSpec((1.0, 1.0), ((0, 5), (0, 5)))
     rng = np.random.default_rng(2)
     f = LatticeField(spec, rng.normal(size=(5, 5)))
-    g = commute_past(f, 0)
+    g = f.shift(0)
     assert g[(0, 2)] == f[(1, 2)]
     const = LatticeField.constant(spec, 2.0)
-    assert np.all(commute_past(const, 1).values == 2.0)
+    assert np.all(const.shift(1).values == 2.0)
     # shifts along different axes commute
-    a = commute_past(commute_past(f, 0), 1)
-    b = commute_past(commute_past(f, 1), 0)
+    a = f.shift(0).shift(1)
+    b = f.shift(1).shift(0)
     assert a.spec.window == b.spec.window
     assert np.array_equal(a.values, b.values)
 
@@ -80,7 +79,7 @@ def test_commute_past_shifts():
 def test_commute_past_window_exhaustion():
     spec = line_spec(1.0, 0, 3)
     f = LatticeField.coordinate(spec, 0)
-    shifted = commute_past(f, 0, steps=5)  # window translates
+    shifted = f.shift(0, steps=5)  # window translates
     with pytest.raises(ValidationError):
         shifted + f  # no overlap left
 
@@ -99,7 +98,7 @@ def test_commutation_relation_on_coordinates():
     for mu in range(2):
         for nu in range(2):
             x = LatticeField.coordinate(spec, nu)
-            coeff = commute_past(x, mu) - x  # dx^mu x^nu - x^nu dx^mu coefficient
+            coeff = x.shift(mu) - x  # dx^mu x^nu - x^nu dx^mu coefficient
             want = spec.spacings[mu] if mu == nu else 0.0
             assert np.all(coeff.values == want)
 

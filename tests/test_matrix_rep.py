@@ -130,6 +130,18 @@ def test_tampered_grading_detected():
     assert rep.anticommute_residual > 0
 
 
+@pytest.mark.parametrize("block", [
+    # the upper-right block is not the adjoint of the lower-left one
+    np.array([[0, 0, 0, 7.0], [0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 0]]),
+    np.array([[1.0, 0], [0, 0]]),  # nonzero diagonal block
+    np.zeros((3, 3)),  # odd side
+    np.zeros((2, 4)),
+])
+def test_doubled_operator_must_be_doubled(block):
+    with pytest.raises(ValidationError):
+        DoubledOperator(block, np.eye(len(block)))
+
+
 def test_example1_needs_no_doubling():
     d = AdjacencyMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert d.is_selfadjoint()

@@ -137,7 +137,7 @@ def test_constant_source_has_zero_connection():
     a = LatticeField.constant(spec, 2.5)
     g = maurer_cartan(a)
     assert g.one_form.max_abs() == 0.0
-    assert field_residual(g).max_abs() == 0.0
+    assert field_residual(g.one_form).max_abs() == 0.0
 
 
 def test_scalar_connection_matches_exponential_formula():
@@ -193,13 +193,13 @@ def test_singular_source_rejected():
 def test_field_residual_zero_on_solution_nonzero_otherwise():
     a = toda_solution_field()
     g = maurer_cartan(a)
-    assert field_residual(g).max_abs() < 1e-12
+    assert field_residual(g.one_form).max_abs() < 1e-12
     rng = np.random.default_rng(7)
     bad = LatticeField(
         two_dim_spec(0.5, 1.0, (0, 8), (0, 8)),
         np.exp(-rng.normal(size=(8, 8)) * 0.5),
     )
-    assert field_residual(maurer_cartan(bad)).max_abs() > 1e-3
+    assert field_residual(maurer_cartan(bad).one_form).max_abs() > 1e-3
 
 
 # -- potential (closed => exact) -----------------------------------------
@@ -382,7 +382,7 @@ def test_positivity_violation_reports_site():
 
 def test_discrete_run_satisfies_field_equation():
     a = toda_solution_field(n_sites=16, steps=50)
-    assert field_residual(maurer_cartan(a)).max_abs() < 1e-12
+    assert field_residual(maurer_cartan(a).one_form).max_abs() < 1e-12
 
 
 # -- continuum Toda ----------------------------------------------------------
