@@ -4,7 +4,6 @@ ValidationError covers bad inputs (malformed graphs, shape mismatches,
 preconditions on sizes and windows).  NumericError covers failures that only
 show up at run time: positivity violations in the discrete Toda step,
 non-closed one-forms handed to the potential constructor, singular matrices.
-The CLI maps them to exit codes 2 and 3 respectively.
 """
 
 

@@ -4,9 +4,9 @@ The universal calculus on an N point set has one basis form per path with
 distinct consecutive vertices; a path (i1, ..., ir) is the (r-1)-form built
 by concatenating the edge forms along it.  Choosing a digraph deletes some
 edge forms, which restricts the admissible paths and imposes linear
-relations generated by the differentials of the deleted edges.  All quotient
-linear algebra runs over exact rationals, so dimension counts and normal
-forms carry no floating point ambiguity.
+relations generated by the differentials of the deleted edges.  Relations are
+eliminated exactly, over ints that become `Fraction` only at a pivot other
+than +1 or -1, so dimensions and normal forms carry no floating point error.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
@@ -189,31 +189,31 @@ def _subtract(row: dict, c, prow: dict, lead: Path) -> None:
 
 
 def _rref(rows: list[dict]) -> dict:
-    """Reduced row echelon form of sparse rows over the rationals.
+    """Exact reduced row echelon form of sparse rows, which it consumes.
 
-    Rows map paths to coefficients; columns are ordered lexicographically by
-    path.  Returns {pivot_path: row_dict} with unit pivots and pivot columns
-    cleared from every other row.  The back substitution is quadratic in the
-    pivot count, so callers split independent rows into blocks first (see
-    `ReducedCalculus._relation_pivots`).
+    Rows map paths to nonzero coefficients; columns are ordered
+    lexicographically by path.  Returns {pivot_path: row_dict} with unit pivots
+    and pivot columns cleared from every other row.  A lead of +1 or -1 is its
+    own inverse, so int rows stay int until another lead is met.  The back
+    substitution takes the pivot rows from the largest lead down; the rows it
+    subtracts are then already reduced, so each pivot column is cleared once.
     """
     pivots: dict[Path, dict] = {}
-    for raw in rows:
-        row = {p: Fraction(c) for p, c in raw.items() if c}
+    for row in rows:
         while row:
             lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = {p: c * inv for p, c in row.items()}
+            if lead not in pivots:
+                c = row[lead]
+                if c != 1:
+                    inv = -1 if c == -1 else Fraction(1) / c
+                    row = {p: v * inv for p, v in row.items()}
+                pivots[lead] = row
                 break
-            _subtract(row, row.pop(lead), piv, lead)
-    # clear pivot columns above, from the largest pivot down
+            _subtract(row, row.pop(lead), pivots[lead], lead)
     for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for lead2, row2 in pivots.items():
-            if lead2 != lead and lead in row2:
-                _subtract(row2, row2.pop(lead), prow, lead)
+        row = pivots[lead]
+        for p in sorted([p for p in row if p in pivots and p != lead], reverse=True):
+            _subtract(row, row.pop(p), pivots[p], p)
     return pivots
 
 
