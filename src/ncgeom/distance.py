@@ -9,25 +9,30 @@ semidefinite program
 
     maximize f(q)  s.t.  M(f) = [[I, C(f)], [C(f)^T, I]] = I + sum_k f_k B_k >= 0,
 
-C(f) = D o (f_j - f_i).  `distance` runs a long-step log-det barrier Newton
-method (Boyd & Vandenberghe, Convex Optimization, 11.6) on
--t f(q) - log det M(f) from the strictly feasible f = 0, multiplying t by a
-constant after each centering; its line search keeps the Cholesky factor of
-M valid, so every iterate is feasible and f(q) is a lower bound.  Each B_k
-has rank at most four, which gives the Newton Hessian in O(n^3).
+C(f) = D o (f_j - f_i).  Its dual is min tr(X) s.t. tr(X B_k) = -delta_kq for
+k != p, X >= 0, and f(q) = tr(X) - tr(X M(f)) <= tr(X) by weak duality.
+`distance` solves both at once from X = M(0) = I by an infeasible-start
+primal-dual method: the HKM direction (Helmberg, Rendl, Vanderbei &
+Wolkowicz, SIAM J. Optim. 6, 1996) with Mehrotra's predictor-corrector
+(Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998).  Each B_k has rank at most
+four, which gives the Schur matrix tr(X B_k M^-1 B_l) in O(n^3).  A common
+step, a fixed fraction of the way to the boundary of the cone for X and
+M(f), keeps both positive definite, so every f(q) is a lower bound.
 
-The upper bound is a dual certificate: for the Newton step df at W = M^-1,
-Z = (W - W dM W) / t with dM = sum_k df_k B_k satisfies tr(Z B_k) = -delta_kq
-for every free k and is positive semidefinite when the Newton decrement is
-below one, so tr(Z) bounds the distance by weak duality.  A solve stops when
-tr(Z) and f(q) agree to the relative gap DEFAULT_TOL and raises NumericError
-rather than return an uncertified value.  A brute-force refined-grid oracle
-gives independent values on small instances.
+The iterate X is the dual certificate: a solve stops once
+max |tr(X B_k) + delta_kq| <= RESIDUAL_TOL and tr(X) and f(q) agree to the
+relative gap DEFAULT_TOL, and raises NumericError rather than return an
+uncertified value.  Near the optimum rounding in the ill-conditioned Schur
+matrix leaves tr(dX B_k) off target by more than RESIDUAL_TOL (the 6 x 6
+grid corner then breaks down), so each corrector direction gets one
+refinement pass that solves for the residual dX misses.  A brute-force
+oracle gives independent values on small instances.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +46,8 @@ ORACLE_PASSES = 3  # grid passes, each zoomed onto the previous incumbent
 POLISH_MIN_STEP = 1e-8  # pattern-search step at which the polish stops
 POLISH_MAX_SWEEPS = 2000
 
-T_START = 1.0
-T_FACTOR = 50.0  # barrier parameter growth after each centering
-CENTERED = 0.25  # squared Newton decrement at which t grows; below 1 keeps Z > 0
-MAX_NEWTON_STEPS = 500
-LINE_SEARCH_ALPHA = 0.25  # fraction of the predicted decrease a step must achieve
-MIN_STEP = 1e-12
-RESIDUAL_TOL = 1e-9  # largest accepted |tr(Z B_k) + delta_kq|
+MAX_NEWTON_STEPS = 100  # iteration cap of the primal-dual solver
+RESIDUAL_TOL = 1e-9  # largest accepted |tr(X B_k) + delta_kq| of the certificate X
 
 
 def _real_base(operator) -> np.ndarray:
@@ -78,7 +78,9 @@ class DistanceProblem:
 @dataclass(frozen=True)
 class DistanceSolution:
     """`value` = optimizer[q] - optimizer[p] at norm `constraint_norm`, the
-    certified `upper_bound`, and `status` "certified" or "infinite"."""
+    certified `upper_bound`, `status` "certified" or "infinite", and the
+    solver's iterations `newton_steps`, final certificate `residual`
+    max |tr(X B_k) + delta_kq| and wall time `seconds`, 0 when infinite."""
 
     value: float
     optimizer: np.ndarray
@@ -86,6 +88,8 @@ class DistanceSolution:
     upper_bound: float
     newton_steps: int
     status: str
+    residual: float
+    seconds: float
 
 
 def commutator_norm(operator, f) -> float:
@@ -136,104 +140,94 @@ def _lmi_adjoint(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy.sum(axis=0) - dy.sum(axis=1)
 
 
-def _barrier_hessian(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """H_kl = tr(W B_k W B_l), the Hessian of -log det M at W = M^-1.
+def _schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+    """H_kl = tr(X B_k S^-1 B_l), the Schur matrix of the HKM direction.
 
-    B_k = L_k S L_k^T with L_k = [P D[:, k], Q e_k, P e_k, Q D[k, :]^T],
-    where P and Q embed R^n as the top and bottom half of R^2n and S swaps
-    the first two columns and the last two with a minus sign.  With the
-    4 x 4 blocks G_kl = L_k^T W L_l, H_kl = tr(S G_kl S G_lk).  In terms of
-    K = S L^T W L (4n x 4n, one n-block per column type of L) that is the
-    sum of K[ak, gl] K[gl, ak] over the 16 block pairs, so H costs four
-    n x n x 2n products instead of an O(n^4) contraction.
+    B_k = L_k J L_k^T with L_k = [P D[:, k], Q e_k, P e_k, Q D[k, :]^T],
+    where P and Q embed R^n as the top and bottom half of R^2n and J swaps
+    the first two columns and the last two with a minus sign.  For
+    K_M = J L^T M L (4n x 4n, one n-block per column type of L),
+    H_kl = tr(J L_k^T S^-1 L_l J L_l^T X L_k) is the sum of
+    K_S[ak, gl] K_X[gl, ak] over the 16 block pairs, so H costs a few
+    n x n x 2n products instead of an O(n^4) contraction.  With X = S^-1 it
+    is the Hessian of -log det S.
     """
     n = d.shape[0]
-    w_top, w_bot = w[:, :n], w[:, n:]
-    wl = np.hstack([w_top @ d, w_bot, w_top, w_bot @ d.T])
-    k = np.vstack([wl[n:], d.T @ wl[:n], -(d @ wl[n:]), -wl[:n]])
-    return (k * k.T).reshape(4, n, 4, n).sum(axis=(0, 2))
+    m = np.array([x, s_inv])
+    top, bot = m[..., :n], m[..., n:]
+    ml = np.concatenate([top @ d, bot, top, bot @ d.T], axis=2)
+    k = np.concatenate([ml[:, n:], d.T @ ml[:, :n], -(d @ ml[:, n:]), -ml[:, :n]], axis=1)
+    return (k[1] * k[0].T).reshape(4, n, 4, n).sum(axis=(0, 2))
 
 
-def _log_det(chol: np.ndarray) -> float:
-    return 2.0 * float(np.log(np.diagonal(chol)).sum())
+def _hkm_direction(d, x, s_inv, df, r):
+    """dS = sum_k df_k B_k over the free k and the HKM step dX = sym(R - X dS S^-1) - X."""
+    ds = _lmi(d, np.concatenate(([0.0], df)), identity=0.0)
+    dx = r - x @ ds @ s_inv
+    return ds, 0.5 * (dx + dx.T) - x
 
 
-def _dual_bound(d: np.ndarray, w: np.ndarray, df: np.ndarray, t: float, p: int, q: int) -> float:
-    """tr(Z) for the certificate Z = (W - W dM W) / t, after checking Z.
-
-    Every B_k is traceless, so a negative eigenvalue -e of Z is absorbed by
-    Z + e I at the price 2n e on the bound.
-    """
-    z = (w - w @ _lmi(d, df, identity=0.0) @ w) / t
-    z = 0.5 * (z + z.T)
-    residual = _lmi_adjoint(d, z)
-    residual[q] += 1.0
-    residual[p] = 0.0  # f(p) is pinned; tr(Z B_p) follows from the others
-    if not float(np.abs(residual).max()) <= RESIDUAL_TOL:
-        raise NumericError(f"dual certificate residual {np.abs(residual).max():.3g}")
-    shift = max(0.0, -float(np.linalg.eigvalsh(z)[0]))
-    return float(np.trace(z)) + z.shape[0] * shift
+def _step_to_boundary(chol_inv: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> float:
+    """Largest a with X + a dX and S + a dS both positive semidefinite,
+    from the eigenvalues of L^-1 dM L^-T for the Cholesky factors L."""
+    pencil = chol_inv @ np.array([dx, ds]) @ chol_inv.transpose(0, 2, 1)
+    lowest = float(np.linalg.eigvalsh(pencil)[:, 0].min())
+    return -1.0 / lowest if lowest < 0.0 else math.inf
 
 
-def _barrier_solve(d: np.ndarray, p: int, q: int):
-    """Certified max f(q) s.t. ||[D, f]|| <= 1, f(p) = 0 on a connected D.
-
-    Returns (f, upper_bound, newton_steps) with M(f) strictly positive
-    definite and upper_bound - f(q) <= DEFAULT_TOL * upper_bound.
-    """
+def _primal_dual_solve(d: np.ndarray, q: int):
+    """Certified max f(q) s.t. M(f) >= 0 with f(0) = 0 on a connected D:
+    (f, upper_bound, iterations, residual) with M(f) positive definite."""
     n = d.shape[0]
-    free = np.arange(n) != p
+    dim = 2 * n
+    target = np.eye(n - 1)[q - 1]  # delta_kq over the free k = 1 .. n-1
     f = np.zeros(n)
-    chol = np.eye(2 * n)  # Cholesky factor of M(0) = I
-    t = T_START
-    for steps in range(MAX_NEWTON_STEPS):
-        chol_inv = np.linalg.inv(chol)
-        w = chol_inv.T @ chol_inv
-        grad_barrier = -_lmi_adjoint(d, w)  # gradient of -log det M
-        hess = _barrier_hessian(d, w)[np.ix_(free, free)]
-        while True:
-            grad = grad_barrier.copy()
-            grad[q] -= t
-            try:
-                step = np.linalg.solve(hess, -grad[free])
-            except np.linalg.LinAlgError as exc:
-                raise NumericError("singular Newton system") from exc
-            df = np.zeros(n)
-            df[free] = step
-            decrement2 = float(-grad[free] @ step)
-            if decrement2 > CENTERED:
-                break
-            upper = _dual_bound(d, w, df, t, p, q)
-            if upper - f[q] <= DEFAULT_TOL * upper:
-                return f, upper, steps
-            t *= T_FACTOR
-        # backtracking on the barrier objective; a failed factorization
-        # means the trial point left the feasible set
-        log_det = _log_det(chol)
-        s = 1.0
-        while True:
-            try:
-                trial = np.linalg.cholesky(_lmi(d, f + s * df))
-            except np.linalg.LinAlgError:
-                trial = None
-            if trial is not None:
-                change = -t * s * df[q] - (_log_det(trial) - log_det)
-                if change <= -LINE_SEARCH_ALPHA * s * decrement2:
-                    break
-            s *= 0.5
-            if s < MIN_STEP:
-                raise NumericError("centering cannot keep M(f) positive definite")
-        f = f + s * df
-        chol = trial
-    raise NumericError(f"no certificate after {MAX_NEWTON_STEPS} Newton steps")
+    xs = np.array([np.eye(dim), np.eye(dim)])  # the iterates X and S = M(f)
+    x, s = xs
+    for iteration in range(MAX_NEWTON_STEPS + 1):
+        infeasible = -_lmi_adjoint(d, x)[1:] - target  # r_p = -delta_q - A(X)
+        residual = float(np.abs(infeasible).max())
+        upper = float(x.trace())
+        if residual <= RESIDUAL_TOL and upper - f[q] <= DEFAULT_TOL * upper:
+            # every B_k is traceless, so a negative eigenvalue -e of X is
+            # absorbed by X + e I at the price 2n e on the bound
+            shift = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
+            return f, upper + dim * shift, iteration, residual
+        if iteration == MAX_NEWTON_STEPS:
+            break
+        try:
+            chol_inv = np.linalg.inv(np.linalg.cholesky(xs))
+            s_inv = chol_inv[1].T @ chol_inv[1]
+            h_inv = np.linalg.inv(_schur(d, x, s_inv)[1:, 1:])
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("primal-dual iterate lost positive definiteness") from exc
+        mu = float(np.vdot(x, s)) / dim
+        # predictor: the affine-scaling direction toward mu = 0, df = H^-1 delta_q
+        ds_a, dx_a = _hkm_direction(d, x, s_inv, h_inv[:, q - 1], 0.0)
+        step_a = min(1.0, _step_to_boundary(chol_inv, dx_a, ds_a))
+        mu_a = float(np.vdot(x + step_a * dx_a, s + step_a * ds_a)) / dim
+        # corrector: centering at sigma mu plus the second-order term
+        r = (mu_a / mu) ** 3 * mu * s_inv - dx_a @ ds_a @ s_inv
+        df = h_inv @ (_lmi_adjoint(d, r)[1:] + target)
+        ds, dx = _hkm_direction(d, x, s_inv, df, r)
+        # refinement: solve once more for the part of r_p that A(dX) misses
+        df -= h_inv @ (infeasible - _lmi_adjoint(d, dx)[1:])
+        ds, dx = _hkm_direction(d, x, s_inv, df, r)
+        # 90-99% of the way to the boundary, more when the predictor went far
+        step = min(1.0, (0.9 + 0.09 * step_a) * _step_to_boundary(chol_inv, dx, ds))
+        x += step * dx
+        f[1:] += step * df
+        s[:] = _lmi(d, f)
+    raise NumericError(f"no certificate after {MAX_NEWTON_STEPS} iterations")
 
 
 def distance(prob: DistanceProblem) -> DistanceSolution:
-    """Certified Connes distance by the log-det barrier method.
+    """Certified Connes distance by the primal-dual method.
 
-    Deterministic.  Raises NumericError when the barrier iteration breaks
-    down or the dual certificate fails.
+    Deterministic.  Raises NumericError when the iteration breaks down or
+    does not certify its value within MAX_NEWTON_STEPS iterations.
     """
+    start = time.perf_counter()
     d = prob.base
     n = d.shape[0]
     p, q = prob.p, prob.q
@@ -248,11 +242,15 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
             upper_bound=math.inf,
             newton_steps=0,
             status="infinite",
+            residual=0.0,
+            seconds=0.0,
         )
     # other components only add directions along which nothing changes
     comp = np.flatnonzero(labels == labels[p])
-    local = {int(v): k for k, v in enumerate(comp)}
-    f, upper, steps = _barrier_solve(d[np.ix_(comp, comp)], local[p], local[q])
+    comp = np.concatenate(([p], comp[comp != p]))  # f(p) = 0 is pinned first
+    f, upper, iterations, residual = _primal_dual_solve(
+        d[np.ix_(comp, comp)], int(np.flatnonzero(comp == q)[0])
+    )
     # Round f to multiples of 2^-44 times its size, far inside the margin
     # M(f) > 0 leaves: adding a constant on that grid then changes no
     # difference f_j - f_i, so [D, f + c] equals [D, f] bit for bit.
@@ -264,8 +262,10 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
         optimizer=optimizer,
         constraint_norm=commutator_norm(d, optimizer),
         upper_bound=upper,
-        newton_steps=steps,
+        newton_steps=iterations,
         status="certified",
+        residual=residual,
+        seconds=time.perf_counter() - start,
     )
 
 

@@ -119,6 +119,14 @@ class FormExpr:
         self.terms = data
 
     @classmethod
+    def _of(cls, terms: dict) -> "FormExpr":
+        """Wrap, without a copy or a check, a dict that already maps valid
+        paths to nonzero coefficients; the two then share the dict."""
+        expr = cls.__new__(cls)
+        expr.terms = terms
+        return expr
+
+    @classmethod
     def zero(cls) -> "FormExpr":
         return cls()
 
@@ -268,9 +276,8 @@ class ReducedCalculus:
             self.basis_by_degree.append(cur)
             pivots = self._relation_pivots(r, detours)
             self._pivots_by_degree.append(pivots)
-            rels = [
-                FormExpr(pivots[lead]) for lead in sorted(pivots)
-            ]
+            # the relations share the pivot rows: one copy of each, no re-check
+            rels = [FormExpr._of(pivots[lead]) for lead in sorted(pivots)]
             self.relations_by_degree.append(rels)
             if len(cur) - len(rels) == 0:
                 self.max_degree = r

@@ -447,6 +447,12 @@ def test_bidirected_3x3_grid_relation_counts():
     calc = ReducedCalculus(Digraph.from_arrows(9, bigrid_arrows(3, 3)), degree_cap=6)
     assert [len(calc.relations(r)) for r in range(7)] == [0, 0, 28, 136, 472, 1448, 4248]
     assert calc.dimensions() == [9, 24, 40, 56, 72, 88, 104]
+    # each relation is its pivot row, in lead order, stored once
+    for r in range(7):
+        rows = calc._pivots_by_degree[r]
+        rels = calc.relations(r)
+        assert [rel.terms for rel in rels] == [rows[lead] for lead in sorted(rows)]
+        assert all(rel.terms is rows[min(rel.terms)] for rel in rels)
 
 
 def test_build_logs_each_degree_at_debug(caplog):
