@@ -19,13 +19,18 @@ four, which gives the Schur matrix tr(X B_k M^-1 B_l) in O(n^3).  A common
 step, a fixed fraction of the way to the boundary of the cone for X and
 M(f), keeps both positive definite, so every f(q) is a lower bound.
 
-The iterate X is the dual certificate: a solve stops once
-max |tr(X B_k) + delta_kq| <= RESIDUAL_TOL and tr(X) and f(q) agree to the
-relative gap DEFAULT_TOL, and raises NumericError rather than return an
-uncertified value.  Near the optimum rounding in the ill-conditioned Schur
-matrix leaves tr(dX B_k) off target by more than RESIDUAL_TOL (the 6 x 6
-grid corner then breaks down), so each corrector direction gets one
-refinement pass that solves for the residual dX misses.  A brute-force
+The dual certificate is the iterate X repaired: the least-squares
+correction sum_k c_k B_k makes tr(X B_k) = -delta_kq hold to rounding (the
+Gram matrix tr(B_k B_l) is twice the Laplacian of the weights
+D_kl^2 + D_lk^2, positive definite on the free k of a connected D).  The B_k
+are traceless, so the repair keeps tr(X); a negative lowest eigenvalue -e of
+the repaired X costs 2n e on the bound.  A solve stops once that bound and
+f(q) agree to the relative gap DEFAULT_TOL, and raises NumericError rather
+than return an uncertified value.  The repair is needed because rounding in
+the ill-conditioned Schur matrix leaves the iterates about 1e-9 off the
+constraints when the lengths span 1e-2 to 1e2.  For the same reason each
+corrector direction gets one refinement pass that solves for the residual
+dX misses; without it the 6 x 6 grid corner breaks down.  A brute-force
 oracle gives independent values on small instances.
 """
 
@@ -175,6 +180,17 @@ def _step_to_boundary(chol_inv: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> f
     return -1.0 / lowest if lowest < 0.0 else math.inf
 
 
+def _repaired(d: np.ndarray, x: np.ndarray, infeasible: np.ndarray) -> np.ndarray:
+    """X + sum_k c_k B_k over the free k that meets tr(. B_k) = -delta_kq,
+    given infeasible = -delta_kq - tr(X B_k).  Least squares through the Gram
+    matrix tr(B_k B_l) = 2 (diag(W 1) - W) with W = D o D + (D o D)^T."""
+    w = d * d
+    w = w + w.T
+    gram = 2.0 * (np.diag(w.sum(axis=1)) - w)[1:, 1:]
+    c = np.linalg.solve(gram, infeasible)
+    return x + _lmi(d, np.concatenate(([0.0], c)), identity=0.0)
+
+
 def _primal_dual_solve(d: np.ndarray, q: int):
     """Certified max f(q) s.t. M(f) >= 0 with f(0) = 0 on a connected D:
     (f, upper_bound, iterations, residual) with M(f) positive definite."""
@@ -186,13 +202,15 @@ def _primal_dual_solve(d: np.ndarray, q: int):
     x, s = xs
     for iteration in range(MAX_NEWTON_STEPS + 1):
         infeasible = -_lmi_adjoint(d, x)[1:] - target  # r_p = -delta_q - A(X)
-        residual = float(np.abs(infeasible).max())
-        upper = float(x.trace())
-        if residual <= RESIDUAL_TOL and upper - f[q] <= DEFAULT_TOL * upper:
-            # every B_k is traceless, so a negative eigenvalue -e of X is
-            # absorbed by X + e I at the price 2n e on the bound
-            shift = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
-            return f, upper + dim * shift, iteration, residual
+        upper = float(x.trace())  # also the repaired trace
+        if upper - f[q] <= DEFAULT_TOL * upper:
+            cert = _repaired(d, x, infeasible)
+            residual = float(np.abs(_lmi_adjoint(d, cert)[1:] + target).max())
+            # a negative eigenvalue -e of the certificate is absorbed by
+            # cert + e I, which every tr(. B_k) ignores
+            bound = upper + dim * max(0.0, -float(np.linalg.eigvalsh(cert)[0]))
+            if residual <= RESIDUAL_TOL and 0.0 <= bound - f[q] <= DEFAULT_TOL * bound:
+                return f, bound, iteration, residual
         if iteration == MAX_NEWTON_STEPS:
             break
         try:
@@ -251,12 +269,13 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
     f, upper, iterations, residual = _primal_dual_solve(
         d[np.ix_(comp, comp)], int(np.flatnonzero(comp == q)[0])
     )
-    # Round f to multiples of 2^-44 times its size, far inside the margin
-    # M(f) > 0 leaves: adding a constant on that grid then changes no
-    # difference f_j - f_i, so [D, f + c] equals [D, f] bit for bit.
+    # Round f down to multiples of 2^-44 times its size, far inside the
+    # margin M(f) > 0 leaves: adding a constant on that grid then changes no
+    # difference f_j - f_i, so [D, f + c] equals [D, f] bit for bit, and the
+    # value stays at most f(q), below the bound.
     unit = math.ldexp(1.0, math.frexp(float(np.abs(f).max()))[1] - 44)
     optimizer = np.zeros(n)
-    optimizer[comp] = np.round(f / unit) * unit
+    optimizer[comp] = np.floor(f / unit) * unit
     return DistanceSolution(
         value=float(optimizer[q] - optimizer[p]),
         optimizer=optimizer,

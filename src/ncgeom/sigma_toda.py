@@ -12,6 +12,11 @@ is what makes closed one-forms invertible through the path-sum potential.
 The discrete Toda flow advances the newest time slice in closed form, one
 logarithm per site, and satisfies the sigma-model field equation d star A = 0
 exactly by construction.
+
+Both Toda flows pad a chain of n sites with one ghost site at each end that
+carries the boundary condition (q = 0 walls, open ends at -inf and +inf, or
+copies of the far end for a periodic chain), so the n + 1 bonds of every
+boundary come out of one array expression.
 """
 
 from __future__ import annotations
@@ -251,12 +256,56 @@ def current_ladder(
     return ladder
 
 
+# -- Toda chains: ghost-padded bonds ------------------------------------------
+
+BOUNDARIES = ("fixed", "open", "periodic")
+
+
+def _set_ghosts(qe: np.ndarray, boundary: str) -> None:
+    """Write the ghost sites qe[..., 0] and qe[..., -1] of a padded chain.
+
+    Fixed ends are q = 0 walls.  Open ends are q = -inf on the left and
+    q = +inf on the right, so both end bonds come out exactly 0.  Periodic
+    ghosts copy the far end of the chain, so both end bonds are the wrap
+    bond e^{q_{n-1} - q_0}.
+    """
+    if boundary == "fixed":
+        qe[..., 0] = qe[..., -1] = 0.0
+    elif boundary == "open":
+        qe[..., 0], qe[..., -1] = -np.inf, np.inf
+    elif boundary == "periodic":
+        qe[..., 0], qe[..., -1] = qe[..., -2], qe[..., 1]
+    else:
+        raise ValidationError(f"boundary must be one of {BOUNDARIES}")
+
+
+def _padded(q, boundary: str) -> np.ndarray:
+    """A chain (or a stack of chains along the last axis) with its ghosts."""
+    q = np.asarray(q, dtype=float)
+    qe = np.empty(q.shape[:-1] + (q.shape[-1] + 2,))
+    qe[..., 1:-1] = q
+    _set_ghosts(qe, boundary)
+    return qe
+
+
+def _bonds(qe: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Bond exponentials e^{q_k - q_{k+1}} of a padded chain of n sites.
+
+    There are n + 1 of them: bonds[:-1] is the bond to the left of each
+    site and bonds[1:] the bond to its right, under every boundary.
+    """
+    return np.exp(np.subtract(qe[..., :-1], qe[..., 1:], out=out), out=out)
+
+
 # -- discrete Toda flow ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TodaState:
-    """Two consecutive time slices of the discrete flow, fixed q=0 walls."""
+    """Two consecutive time slices of the discrete flow.
+
+    The chain has fixed q = 0 walls: a ghost site of value 0 beyond each end.
+    """
 
     q_prev: np.ndarray
     q_curr: np.ndarray
@@ -268,8 +317,10 @@ class TodaState:
         qc = np.asarray(self.q_curr, dtype=float)
         if qp.shape != qc.shape or qp.ndim != 1 or qp.size == 0:
             raise ValidationError("slices must be equal-length 1-D arrays")
-        if self.l0 <= 0 or self.l1 <= 0:
-            raise ValidationError("spacings must be positive")
+        if not (np.all(np.isfinite(qp)) and np.all(np.isfinite(qc))):
+            raise ValidationError("slices must be finite")
+        if not (0 < self.l0 < math.inf and 0 < self.l1 < math.inf):
+            raise ValidationError("spacings must be positive and finite")
         object.__setattr__(self, "q_prev", qp)
         object.__setattr__(self, "q_curr", qc)
 
@@ -282,27 +333,33 @@ def toda_step_discrete(state: TodaState) -> TodaState:
         rhs = e^{q(n-1)-q(n)} - (l0/l1)^2 [e^{q_left-q} - e^{q-q_right}]
 
     to stay positive; otherwise the step size l0 is too large for the data.
+    The end sites' outer neighbours are the q = 0 wall ghosts.
     """
-    qp, qc = state.q_prev, state.q_curr
-    _, left, right = _bonds(qc, "fixed")
-    rhs = np.exp(qp - qc) - (state.l0 / state.l1) ** 2 * (left - right)
-    if np.any(rhs <= 0):
-        site = int(np.argwhere(rhs <= 0)[0][0])
-        raise NumericError(
-            f"positivity violated at site {site}: rhs={rhs[site]:.3e}; "
-            "reduce l0 or the bump amplitude"
-        )
-    q_next = qc - np.log(rhs)
-    return TodaState(qc, q_next, state.l0, state.l1)
+    q_next = toda_run_discrete(state, 1)[-1]
+    return TodaState(state.q_curr, q_next, state.l0, state.l1)
 
 
 def toda_run_discrete(state: TodaState, steps: int) -> np.ndarray:
     """Evolve `steps` times; rows are the slices q(0), q(1), ..., q(steps+1)."""
-    rows = [state.q_prev.copy(), state.q_curr.copy()]
-    for _ in range(steps):
-        state = toda_step_discrete(state)
-        rows.append(state.q_curr.copy())
-    return np.array(rows)
+    if steps < 0:
+        raise ValidationError("steps must be >= 0")
+    rows = np.empty((steps + 2, state.q_curr.size))
+    rows[0], rows[1] = state.q_prev, state.q_curr
+    ratio = (state.l0 / state.l1) ** 2
+    qe = _padded(state.q_curr, "fixed")
+    for k in range(1, steps + 1):
+        q_prev, q_curr = rows[k - 1], rows[k]
+        qe[1:-1] = q_curr
+        bonds = _bonds(qe)
+        rhs = np.exp(q_prev - q_curr) - ratio * (bonds[:-1] - bonds[1:])
+        if not rhs.min() > 0:  # a nan rhs fails too
+            site = int(np.argmin(rhs > 0))
+            raise NumericError(
+                f"positivity violated at site {site}: rhs={rhs[site]:.3e}; "
+                "reduce l0 or the bump amplitude"
+            )
+        np.subtract(q_curr, np.log(rhs), out=rows[k + 1])
+    return rows
 
 
 def exp_field_from_slices(slices: np.ndarray, l0: float, l1: float) -> LatticeField:
@@ -325,39 +382,29 @@ _YOSHIDA_C = (
 )
 _YOSHIDA_D = (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)
 
-BOUNDARIES = ("fixed", "open", "periodic")
 
+def toda_force(q, l1: float, boundary: str = "fixed") -> np.ndarray:
+    """Acceleration -(1/l1^2)(e^{q_k - q_{k+1}} - e^{q_{k-1} - q_k}).
 
-def _bonds(q: np.ndarray, boundary: str):
-    """Bond exponentials e^{q_k - q_{k+1}} of the chain, and the bond to the
-    left and to the right of each site (0 where an open end has none).
-
-    Fixed ends are q = 0 walls beyond both ends; periodic chains wrap.
+    The end sites' outer neighbours are the boundary's ghost sites.
     """
+    bonds = _bonds(_padded(q, boundary))
+    return -(bonds[..., 1:] - bonds[..., :-1]) / l1**2
+
+
+def _energy(q, p, l1: float, boundary: str) -> np.ndarray:
+    """Energy of a chain, or of each row of a stack of chains."""
+    bonds = _bonds(_padded(q, boundary))
     if boundary == "periodic":
-        bonds = np.exp(q - np.roll(q, -1))
-        return bonds, np.roll(bonds, 1), bonds
-    if boundary == "fixed":
-        qe = np.concatenate([[0.0], q, [0.0]])
-        bonds = np.exp(qe[:-1] - qe[1:])
-        return bonds, bonds[:-1], bonds[1:]
-    if boundary == "open":
-        bonds = np.exp(q[:-1] - q[1:])
-        padded = np.concatenate([[0.0], bonds, [0.0]])
-        return bonds, padded[:-1], padded[1:]
-    raise ValidationError(f"boundary must be one of {BOUNDARIES}")
-
-
-def toda_force(q: np.ndarray, l1: float, boundary: str = "fixed") -> np.ndarray:
-    """Acceleration -(1/l1^2)(e^{q_k - q_{k+1}} - e^{q_{k-1} - q_k})."""
-    _, left, right = _bonds(q, boundary)
-    return -(right - left) / l1**2
+        bonds = bonds[..., 1:]  # both end bonds are the wrap bond; count it once
+    kin = 0.5 * np.sum(np.asarray(p) ** 2, axis=-1)
+    return kin + np.sum(bonds, axis=-1) / l1**2
 
 
 def toda_energy(q, p, l1: float, boundary: str = "fixed") -> float:
-    bonds, _, _ = _bonds(np.asarray(q, dtype=float), boundary)
-    kin = 0.5 * float(np.sum(np.asarray(p) ** 2))
-    return kin + float(np.sum(bonds)) / l1**2
+    if np.ndim(q) != 1 or np.shape(q) != np.shape(p):
+        raise ValidationError("q and p must be equal-length 1-D arrays")
+    return float(_energy(q, p, l1, boundary))
 
 
 @dataclass
@@ -369,9 +416,7 @@ class TodaTrajectory:
     boundary: str
 
     def energies(self) -> np.ndarray:
-        return np.array(
-            [toda_energy(qk, pk, self.l1, self.boundary) for qk, pk in zip(self.q, self.p)]
-        )
+        return _energy(self.q, self.p, self.l1, self.boundary)
 
     def momenta(self) -> np.ndarray:
         return self.p.sum(axis=1)
@@ -385,22 +430,48 @@ def toda_integrate(
     l1: float = 1.0,
     boundary: str = "fixed",
 ) -> TodaTrajectory:
-    """Fourth-order symplectic (Yoshida) integration of the Toda chain."""
-    if h <= 0:
-        raise ValidationError("step size must be positive")
+    """Fourth-order symplectic (Yoshida) integration of the Toda chain.
+
+    The chain lives inside one padded buffer whose ghost sites carry the
+    boundary (see `_set_ghosts`); only periodic ghosts move with the chain.
+    """
+    if not 0 < h < math.inf:
+        raise ValidationError("step size must be positive and finite")
+    if not 0 <= t_final < math.inf:
+        raise ValidationError("t_final must be finite and >= 0")
+    if not 0 < l1 < math.inf:
+        raise ValidationError("spacing l1 must be positive and finite")
     q = np.array(q0, dtype=float)
     p = np.array(p0, dtype=float)
-    if q.shape != p.shape or q.ndim != 1:
-        raise ValidationError("q0 and p0 must be equal-length 1-D arrays")
+    if q.shape != p.shape or q.ndim != 1 or q.size == 0:
+        raise ValidationError("q0 and p0 must be equal-length nonempty 1-D arrays")
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise ValidationError("q0 and p0 must be finite")
+    qe = _padded(q, boundary)
+    q = qe[1:-1]
+    periodic = boundary == "periodic"
     steps = int(round(t_final / h))
     qs = np.empty((steps + 1, q.size))
     ps = np.empty((steps + 1, q.size))
     qs[0], ps[0] = q, p
+    drifts = [c * h for c in _YOSHIDA_C]
+    kicks = [d * h for d in _YOSHIDA_D]
+    l1sq = l1**2
+    bonds = np.empty(q.size + 1)
+    left, right = bonds[:-1], bonds[1:]
+    move = np.empty(q.size)
     for n in range(steps):
         for i in range(3):
-            q = q + _YOSHIDA_C[i] * h * p
-            p = p + _YOSHIDA_D[i] * h * toda_force(q, l1, boundary)
-        q = q + _YOSHIDA_C[3] * h * p
+            q += np.multiply(p, drifts[i], out=move)
+            if periodic:
+                _set_ghosts(qe, boundary)
+            _bonds(qe, out=bonds)
+            # p + kick * toda_force(q), rounded step by step as toda_force is
+            np.subtract(right, left, out=move)
+            move /= l1sq
+            move *= kicks[i]
+            p -= move
+        q += np.multiply(p, drifts[3], out=move)
         qs[n + 1], ps[n + 1] = q, p
     return TodaTrajectory(
         times=np.arange(steps + 1) * h, q=qs, p=ps, l1=l1, boundary=boundary

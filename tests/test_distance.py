@@ -452,6 +452,35 @@ def test_schur_matrix_matches_definitions():
     assert np.allclose(_schur(d, w, w), hess, rtol=1e-12, atol=1e-12)
 
 
+def test_repair_meets_the_constraints_and_keeps_the_trace():
+    from ncgeom.distance import _lmi_adjoint, _repaired
+
+    rng = np.random.default_rng(9)
+    n = 6
+    d = (rng.random((n, n)) < 0.5) * 10.0 ** rng.uniform(-2, 2, size=(n, n))
+    d += np.diag(np.ones(n - 1), 1)  # a chain keeps D connected
+    np.fill_diagonal(d, 0.0)
+    x = random_positive_definite(rng, 2 * n)
+    target = rng.normal(size=n - 1)
+    cert = _repaired(d, x, target - _lmi_adjoint(d, x)[1:])
+    assert np.allclose(_lmi_adjoint(d, cert)[1:], target, rtol=0, atol=1e-10)
+    assert np.array_equal(np.diag(cert), np.diag(x))
+
+
+def test_lengths_over_four_decades_are_certified():
+    # the iterates stall about 1e-9 off the constraints here, so only the
+    # repaired certificate meets RESIDUAL_TOL
+    d = np.zeros((6, 6))
+    for (i, j), w in {(0, 1): 1.0, (0, 2): 1e2, (0, 3): 1.0, (0, 5): 1e-2,
+                      (1, 3): 1.0, (2, 4): 1e-2}.items():
+        d[i, j] = d[j, i] = w
+    sol = distance(DistanceProblem(d, 4, 5))
+    assert sol.status == "certified"
+    assert sol.value <= sol.upper_bound <= sol.value * (1 + 1e-9)
+    assert sol.residual <= RESIDUAL_TOL
+    assert commutator_norm(d, sol.optimizer) <= 1.0 + 1e-9
+
+
 def bidirected(d):
     return d + d.T
 

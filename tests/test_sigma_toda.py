@@ -376,8 +376,38 @@ def test_single_site_bump_explicit_step():
 def test_positivity_violation_reports_site():
     q = np.zeros(7)
     q[3] = 3.0
-    with pytest.raises(NumericError, match="site"):
+    with pytest.raises(NumericError, match="site 4"):
         toda_step_discrete(TodaState(q, q, 1.0, 1.0))
+    with pytest.raises(NumericError, match="site 4"):
+        toda_run_discrete(TodaState(q, q, 1.0, 1.0), 3)
+
+
+def test_run_rows_are_iterated_steps():
+    state = TodaState(gaussian_bump(11, amp=0.2), gaussian_bump(11, amp=0.25), 0.4, 1.2)
+    rows = toda_run_discrete(state, 25)
+    assert rows.shape == (27, 11)
+    assert np.array_equal(rows[0], state.q_prev) and np.array_equal(rows[1], state.q_curr)
+    for row in rows[2:]:
+        state = toda_step_discrete(state)
+        assert np.array_equal(row, state.q_curr)
+
+
+def test_discrete_input_validation():
+    q = gaussian_bump(5)
+    for bad in (np.nan, np.inf, 0.0, -0.5):
+        with pytest.raises(ValidationError, match="spacings"):
+            TodaState(q, q, bad, 1.0)
+        with pytest.raises(ValidationError, match="spacings"):
+            TodaState(q, q, 0.5, bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        qbad = q.copy()
+        qbad[2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            TodaState(q, qbad, 0.5, 1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            TodaState(qbad, q, 0.5, 1.0)
+    with pytest.raises(ValidationError, match="steps"):
+        toda_run_discrete(TodaState(q, q, 0.5, 1.0), -1)
 
 
 def test_discrete_run_satisfies_field_equation():
@@ -425,6 +455,83 @@ def test_force_is_minus_energy_gradient(boundary):
     assert np.max(np.abs(toda_force(q, l1, boundary) + grad)) < 1e-8
 
 
+def yoshida_reference(q0, p0, t_final, h, l1, boundary):
+    """The integrator written out as plain Yoshida steps of `toda_force`."""
+    cbrt2 = 2.0 ** (1.0 / 3.0)
+    w1 = 1.0 / (2.0 - cbrt2)
+    w0 = -cbrt2 / (2.0 - cbrt2)
+    c = (w1 / 2.0, (w0 + w1) / 2.0, (w0 + w1) / 2.0, w1 / 2.0)
+    d = (w1, w0, w1)
+    q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
+    qs, ps = [q], [p]
+    for _ in range(int(round(t_final / h))):
+        for i in range(3):
+            q = q + c[i] * h * p
+            p = p + d[i] * h * toda_force(q, l1, boundary)
+        q = q + c[3] * h * p
+        qs.append(q)
+        ps.append(p)
+    return np.array(qs), np.array(ps)
+
+
+@pytest.mark.parametrize("l1", [1.0, 1.3])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_integrator_is_yoshida_composition_of_force(boundary, l1):
+    q0 = gaussian_bump(7, amp=0.6, center=2.5)
+    p0 = 0.3 * np.cos(np.arange(7))
+    traj = toda_integrate(q0, p0, 0.5, 1e-2, l1=l1, boundary=boundary)
+    qs, ps = yoshida_reference(q0, p0, 0.5, 1e-2, l1, boundary)
+    assert np.array_equal(traj.q, qs)
+    assert np.array_equal(traj.p, ps)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_energies_match_per_row_energy(boundary):
+    q0 = gaussian_bump(9, amp=0.5)
+    p0 = 0.2 * np.sin(np.arange(9))
+    traj = toda_integrate(q0, p0, 1.0, 1e-2, l1=0.8, boundary=boundary)
+    per_row = [toda_energy(q, p, 0.8, boundary) for q, p in zip(traj.q, traj.p)]
+    # same terms; only the order of the sums may differ between the two reductions
+    np.testing.assert_allclose(traj.energies(), per_row, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def test_short_open_chains_have_zero_end_bonds():
+    l1 = 1.5
+    assert np.array_equal(toda_force([0.7], l1, "open"), [0.0])
+    a, b = 0.4, -0.3
+    bond = math.exp(a - b) / l1**2
+    assert np.array_equal(toda_force([a, b], l1, "open"), [-bond, bond])
+    assert toda_energy([a, b], [0.0, 0.0], l1, "open") == bond
+    # a lone open site moves freely
+    traj = toda_integrate([0.7], [0.25], 1.0, 0.1, boundary="open")
+    assert np.allclose(traj.q[:, 0], 0.7 + 0.25 * traj.times, rtol=0, atol=1e-14)
+    assert np.all(traj.p == 0.25)
+
+
+def test_integrator_input_validation():
+    q0, p0 = gaussian_bump(5), np.zeros(5)
+    with pytest.raises(ValidationError, match="boundary"):
+        toda_integrate(q0, p0, 0.0, 1e-2, boundary="closed")
+    for t_final in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="t_final"):
+            toda_integrate(q0, p0, t_final, 1e-2)
+    for h in (0.0, -1e-2, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="step size"):
+            toda_integrate(q0, p0, 1.0, h)
+    for l1 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="l1"):
+            toda_integrate(q0, p0, 1.0, 1e-2, l1=l1)
+    for bad in (np.nan, np.inf):
+        qbad = q0.copy()
+        qbad[1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            toda_integrate(qbad, p0, 1.0, 1e-2)
+        with pytest.raises(ValidationError, match="finite"):
+            toda_integrate(q0, qbad, 1.0, 1e-2)
+    with pytest.raises(ValidationError, match="1-D"):
+        toda_integrate([], [], 1.0, 1e-2)
+
+
 def test_integrator_is_fourth_order():
     q0 = gaussian_bump(6, amp=0.8)
     p0 = np.zeros(6)
@@ -451,3 +558,5 @@ def test_toda_energy_definition():
     p = np.array([1.0, 0.0, -1.0])
     expected = 0.5 * 2.0 + math.exp(0.1 + 0.2) + math.exp(-0.2 - 0.3)
     assert toda_energy(q, p, 1.0, "open") == pytest.approx(expected)
+    with pytest.raises(ValidationError, match="equal-length"):
+        toda_energy(q, p[:2], 1.0, "open")
