@@ -69,6 +69,9 @@ class DistanceProblem:
     q: int
 
     def __post_init__(self):
+        for v in (self.p, self.q):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"point index {v!r} must be an integer")
         n = self.base.shape[0]
         if not (0 <= self.p < n and 0 <= self.q < n):
             raise ValidationError("point indices out of range")

@@ -12,6 +12,8 @@ using the matrix product for matrix-valued fields.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +46,17 @@ class LatticeSpec:
     base_point: tuple = None
 
     def __post_init__(self):
-        sp = tuple(float(s) for s in self.spacings)
-        if any(s <= 0 for s in sp):
-            raise ValidationError("spacings must be strictly positive")
-        win = tuple((int(lo), int(hi)) for lo, hi in self.window)
+        try:
+            sp = tuple(float(s) for s in self.spacings)
+            win = tuple(
+                (operator.index(lo), operator.index(hi)) for lo, hi in self.window
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"spacings must be real and window bounds integer: {exc}"
+            ) from None
+        if not all(0 < s < math.inf for s in sp):
+            raise ValidationError("spacings must be positive and finite")
         if len(win) != len(sp):
             raise ValidationError("window and spacings dimensions differ")
         if any(lo >= hi for lo, hi in win):
@@ -272,7 +281,7 @@ class LatticeOneForm:
         return max(c.max_abs() for c in self.components)
 
 
-# -- derivative and integral operations ----------------------------------
+# -- derivatives -----------------------------------------------------------
 
 
 def forward_derivative(f: LatticeField, axis: int) -> LatticeField:
@@ -289,34 +298,6 @@ def exterior_derivative(f: LatticeField) -> LatticeOneForm:
     return LatticeOneForm(
         tuple(forward_derivative(f, ax) for ax in range(f.spec.n))
     )
-
-
-def definite_integral(f: LatticeField, m: int, n: int) -> float:
-    """l * sum of f over indices -m .. n-1 (1-D fields only)."""
-    if f.spec.n != 1:
-        raise ValidationError("definite_integral expects a 1-D field")
-    lo, hi = f.spec.window[0]
-    a, b = -m, n
-    if a < lo or b > hi:
-        raise ValidationError(
-            f"integration range [{a}, {b}) outside window [{lo}, {hi})"
-        )
-    seg = f.values[a - lo : b - lo]
-    return f.spec.spacings[0] * seg.sum(axis=0)
-
-
-def indefinite_integral(f: LatticeField, pin=0.0) -> LatticeField:
-    """F with forward derivative f and F = pin at the left window edge.
-
-    F lives on the same window; the forward-derivative identity therefore
-    holds everywhere except the last index.  The remaining freedom (adding a
-    lattice constant) is fixed by the pin.
-    """
-    if f.spec.n != 1:
-        raise ValidationError("indefinite_integral expects a 1-D field")
-    ell = f.spec.spacings[0]
-    cums = np.concatenate([[0.0], np.cumsum(f.values[:-1] * ell)])
-    return LatticeField(f.spec, pin + cums)
 
 
 # -- structure functions ---------------------------------------------------

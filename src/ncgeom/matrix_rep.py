@@ -59,9 +59,6 @@ class AdjacencyMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def is_selfadjoint(self) -> bool:
-        return _maxabs(self.entries - self.entries.T) <= TRIPLE_TOL
-
 
 @dataclass(frozen=True)
 class DoubledOperator:

@@ -7,8 +7,9 @@ differentials, which shows up below as the -l0 / -l1 shifts:
 
     (star w)_0 = -(w_1 c1)(x - l1),   (star w)_1 = (w_0 c0)(x - l0).
 
-With constant coefficients star star is a pure shift (times -c0*c1), which
-is what makes closed one-forms invertible through the path-sum potential.
+The coefficients c0, c1 are constants, so star star is a pure shift (times
+-c0*c1) and star is undone by a shift and a division; that turns a conserved
+current into a closed one-form, which the path-sum potential integrates.
 The discrete Toda flow advances the newest time slice in closed form, one
 logarithm per site, and satisfies the sigma-model field equation d star A = 0
 exactly by construction.
@@ -21,7 +22,9 @@ boundary come out of one array expression.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,45 +56,30 @@ def two_dim_spec(l0, l1, t_range, x_range) -> LatticeSpec:
 
 @dataclass(frozen=True)
 class HodgeStar:
-    """Star coefficients (c0, c1); defaults give the Minkowski-type pairing.
+    """Constant star coefficients (c0, c1), nonzero and finite; the defaults
+    give the Minkowski-type pairing.
 
-    Constant scalars or nowhere-zero scalar lattice fields are accepted;
-    only the constant case admits the shift inversion used by the ladder.
+    Constant coefficients make star star a pure shift, which is what lets
+    `invert_star_d` undo star d.
     """
 
-    c0: object = 1.0
-    c1: object = -1.0
+    c0: float = 1.0
+    c1: float = -1.0
 
     def __post_init__(self):
-        for name, c in (("c0", self.c0), ("c1", self.c1)):
-            if isinstance(c, LatticeField):
-                if c.is_matrix:
-                    raise ValidationError(f"{name} must be scalar-valued")
-                if np.any(c.values == 0):
-                    raise ValidationError(f"{name} vanishes somewhere; star not invertible")
-            elif c == 0:
-                raise ValidationError(f"{name} must be nonzero")
-
-    @property
-    def is_constant(self) -> bool:
-        return not isinstance(self.c0, LatticeField) and not isinstance(
-            self.c1, LatticeField
-        )
-
-
-def _cmul(c, w: LatticeField) -> LatticeField:
-    """Multiply a coefficient field by a star coefficient (scalar or field)."""
-    if isinstance(c, LatticeField):
-        return c * w
-    return float(c) * w
+        for name in ("c0", "c1"):
+            c = getattr(self, name)
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                raise ValidationError(f"{name} must be a real number")
+            if not (c != 0 and math.isfinite(c)):
+                raise ValidationError(f"{name} must be nonzero and finite")
+            object.__setattr__(self, name, float(c))
 
 
 def star(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeOneForm:
     """Generalized Hodge star on a one-form with left-module components."""
     w0, w1 = w.components
-    u0 = -_cmul(h.c1, w1).shift(SPACE, -1)
-    u1 = _cmul(h.c0, w0).shift(TIME, -1)
-    return LatticeOneForm((u0, u1))
+    return LatticeOneForm(((-h.c1 * w1).shift(SPACE, -1), (h.c0 * w0).shift(TIME, -1)))
 
 
 def d_one_form(w: LatticeOneForm) -> LatticeField:
@@ -111,16 +99,10 @@ def one_form_product(p: LatticeOneForm, q: LatticeOneForm) -> LatticeField:
     return p0 * q1.shift(TIME, 1) - p1 * q0.shift(SPACE, 1)
 
 
-def star_product(w: LatticeOneForm, u: LatticeOneForm, h: HodgeStar) -> LatticeField:
-    """w star u as a two-form coefficient; symmetric for scalar one-forms."""
-    return one_form_product(w, star(u, h))
-
-
 @dataclass(frozen=True)
 class GaugeField:
-    """Pointwise invertible source a with its flat connection A = a^-1 da."""
+    """Flat connection A = a^-1 da of a pointwise invertible source a."""
 
-    a: LatticeField
     one_form: LatticeOneForm
     flatness_residual: float
 
@@ -133,7 +115,7 @@ def maurer_cartan(a: LatticeField) -> GaugeField:
     flat = (d_one_form(one_form) + one_form_product(one_form, one_form)).max_abs()
     if flat > FLATNESS_TOL:
         raise NumericError(f"flatness residual {flat:.3e} exceeds {FLATNESS_TOL:.1e}")
-    return GaugeField(a=a, one_form=one_form, flatness_residual=flat)
+    return GaugeField(one_form=one_form, flatness_residual=flat)
 
 
 def field_residual(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
@@ -149,12 +131,12 @@ def _edge_sums(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def potential(w: LatticeOneForm, order: str = "t-first") -> LatticeField:
+def potential(w: LatticeOneForm) -> LatticeField:
     """Primitive of a closed one-form on a full rectangular window.
 
-    Integrates along lattice edges from the lower window corner, first in
-    time then in space (or the other way around); closedness makes the two
-    orders agree.  The primitive vanishes at the origin corner.
+    Sums w along lattice edges from the lower window corner, first in time,
+    then in space; closedness makes every edge path give the same sum.  The
+    primitive vanishes at the corner, which makes it unique.
     """
     resid = d_one_form(w).max_abs()
     if resid > CLOSEDNESS_TOL:
@@ -162,30 +144,20 @@ def potential(w: LatticeOneForm, order: str = "t-first") -> LatticeField:
     l0, l1 = w.spec.spacings
     w0 = w.components[0].values
     w1 = w.components[1].values
-    if order == "t-first":
-        vals = l0 * _edge_sums(w0[:, 0], 0)[:, None] + l1 * _edge_sums(w1, 1)
-    elif order == "x-first":
-        vals = l1 * _edge_sums(w1[0], 0)[None, :] + l0 * _edge_sums(w0, 0)
-    else:
-        raise ValidationError(f"unknown integration order {order!r}")
+    vals = l0 * _edge_sums(w0[:, 0], 0)[:, None] + l1 * _edge_sums(w1, 1)
     return LatticeField(w.spec, vals)
 
 
 def invert_star_d(J: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
     """Solve star d(chi) = J for a conserved current J (d star J = 0).
 
-    star J is closed by hypothesis; shifting it by +l0+l1 undoes the double
-    star (up to the constant -c0*c1), and the potential construction then
-    yields chi.  Requires constant star coefficients.
+    The inverse star gives d chi = (J_1(x + l0) / c0, -J_0(x + l1) / c1)
+    directly; it is closed because d star J = 0, and `potential` integrates
+    it to chi.
     """
-    if not h.is_constant:
-        raise ValidationError("invert_star_d needs constant star coefficients")
-    scale = -float(h.c0) * float(h.c1)
-    starj = star(J, h)
-    shifted = LatticeOneForm(
-        tuple(c.shift(TIME, 1).shift(SPACE, 1) / scale for c in starj.components)
-    )
-    chi = potential(shifted)
+    J0, J1 = J.components
+    dchi = LatticeOneForm((J1.shift(TIME, 1) / h.c0, J0.shift(SPACE, 1) / -h.c1))
+    chi = potential(dchi)
     back = star(exterior_derivative(chi), h)
     err = (back - J).max_abs()
     if err > LADDER_VERIFY_TOL:
@@ -288,6 +260,23 @@ def _padded(q, boundary: str) -> np.ndarray:
     return qe
 
 
+def _overflow_is_numeric(fn):
+    """Make overflow, division by zero and invalid operations in `fn` raise
+    NumericError instead of warning and returning inf or nan."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise NumericError(
+                f"non-finite arithmetic in {fn.__name__}: {exc}"
+            ) from None
+
+    return checked
+
+
 def _bonds(qe: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Bond exponentials e^{q_k - q_{k+1}} of a padded chain of n sites.
 
@@ -339,10 +328,11 @@ def toda_step_discrete(state: TodaState) -> TodaState:
     return TodaState(state.q_curr, q_next, state.l0, state.l1)
 
 
+@_overflow_is_numeric
 def toda_run_discrete(state: TodaState, steps: int) -> np.ndarray:
     """Evolve `steps` times; rows are the slices q(0), q(1), ..., q(steps+1)."""
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValidationError("steps must be an integer >= 0")
     rows = np.empty((steps + 2, state.q_curr.size))
     rows[0], rows[1] = state.q_prev, state.q_curr
     ratio = (state.l0 / state.l1) ** 2
@@ -383,15 +373,23 @@ _YOSHIDA_C = (
 _YOSHIDA_D = (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)
 
 
+def _check_l1(l1: float) -> None:
+    if not 0 < l1 < math.inf:
+        raise ValidationError("spacing l1 must be positive and finite")
+
+
+@_overflow_is_numeric
 def toda_force(q, l1: float, boundary: str = "fixed") -> np.ndarray:
     """Acceleration -(1/l1^2)(e^{q_k - q_{k+1}} - e^{q_{k-1} - q_k}).
 
     The end sites' outer neighbours are the boundary's ghost sites.
     """
+    _check_l1(l1)
     bonds = _bonds(_padded(q, boundary))
     return -(bonds[..., 1:] - bonds[..., :-1]) / l1**2
 
 
+@_overflow_is_numeric
 def _energy(q, p, l1: float, boundary: str) -> np.ndarray:
     """Energy of a chain, or of each row of a stack of chains."""
     bonds = _bonds(_padded(q, boundary))
@@ -404,6 +402,7 @@ def _energy(q, p, l1: float, boundary: str) -> np.ndarray:
 def toda_energy(q, p, l1: float, boundary: str = "fixed") -> float:
     if np.ndim(q) != 1 or np.shape(q) != np.shape(p):
         raise ValidationError("q and p must be equal-length 1-D arrays")
+    _check_l1(l1)
     return float(_energy(q, p, l1, boundary))
 
 
@@ -422,6 +421,7 @@ class TodaTrajectory:
         return self.p.sum(axis=1)
 
 
+@_overflow_is_numeric
 def toda_integrate(
     q0,
     p0,
@@ -439,8 +439,7 @@ def toda_integrate(
         raise ValidationError("step size must be positive and finite")
     if not 0 <= t_final < math.inf:
         raise ValidationError("t_final must be finite and >= 0")
-    if not 0 < l1 < math.inf:
-        raise ValidationError("spacing l1 must be positive and finite")
+    _check_l1(l1)
     q = np.array(q0, dtype=float)
     p = np.array(p0, dtype=float)
     if q.shape != p.shape or q.ndim != 1 or q.size == 0:
@@ -495,6 +494,8 @@ def discrete_continuum_orders(q0, p0, t_final: float = 1.0, l1: float = 1.0):
         state = TodaState(q0, ref.q[per], l0, l1)
         run = toda_run_discrete(state, n_final - 1)
         errors.append(float(np.max(np.abs(run[n_final] - ref.q[n_final * per]))))
+    if not min(errors) > 0:
+        raise NumericError(f"an error vanishes, so the orders are undefined: {errors}")
     orders = [
         math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)
     ]

@@ -16,7 +16,7 @@ from ncgeom.distance import (
     distance_matrix,
     oracle_distance,
 )
-from ncgeom.errors import ValidationError
+from ncgeom.errors import NumericError, ValidationError
 from ncgeom.matrix_rep import AdjacencyMatrix, double
 
 TWO_POINT = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -335,6 +335,13 @@ def test_problem_validation():
         DistanceProblem(TWO_POINT, 0, 5)
     with pytest.raises(ValidationError):
         commutator_norm(TWO_POINT, [1.0, 2.0, 3.0])
+    for bad in (0.5, 0.0, np.float64(1.0), True, False, np.bool_(True), None, "0"):
+        with pytest.raises(ValidationError, match="integer"):
+            DistanceProblem(TWO_POINT, bad, 1)
+        with pytest.raises(ValidationError, match="integer"):
+            DistanceProblem(TWO_POINT, 0, bad)
+    prob = DistanceProblem(TWO_POINT, np.int64(0), np.int32(1))
+    assert distance(prob).value == pytest.approx(1.0)
 
 
 # -- certified primal-dual solver -------------------------------------------
@@ -416,7 +423,6 @@ def test_disconnected_solution_record():
 
 def test_stalled_solve_raises(monkeypatch):
     import ncgeom.distance as solver
-    from ncgeom.errors import NumericError
 
     monkeypatch.setattr(solver, "MAX_NEWTON_STEPS", 3)
     with pytest.raises(NumericError):
@@ -479,6 +485,25 @@ def test_lengths_over_four_decades_are_certified():
     assert sol.value <= sol.upper_bound <= sol.value * (1 + 1e-9)
     assert sol.residual <= RESIDUAL_TOL
     assert commutator_norm(d, sol.optimizer) <= 1.0 + 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericError,
+    reason="the HKM direction loses accuracy once S^-1 reaches about 1e10",
+)
+def test_lengths_from_1e_2_to_1e2_break_the_solver_down():
+    # lambda_min(X) falls below 1e-10 after iteration 9 and the Cholesky
+    # factorization of X fails at iteration 23
+    d = np.zeros((8, 8))
+    d[1, 2] = d[6, 1] = d[6, 3] = 0.04058117783463135
+    d[1, 3] = 91.76907215941246
+    d[2, 3] = 0.01457166897737645
+    d[2, 5] = 0.1
+    sol = distance(DistanceProblem(d, 5, 6))
+    assert sol.status == "certified"
+    assert sol.value <= sol.upper_bound <= sol.value * (1 + 1e-9)
+    assert sol.residual <= RESIDUAL_TOL
 
 
 def bidirected(d):

@@ -1,4 +1,4 @@
-"""Tests for windowed lattice fields, derivatives, integrals, structure tensors."""
+"""Tests for windowed lattice fields, derivatives and structure tensors."""
 
 import math
 
@@ -12,10 +12,8 @@ from ncgeom.lattice import (
     StructureTensor,
     backward_derivative,
     check_structure_consistency,
-    definite_integral,
     exterior_derivative,
     forward_derivative,
-    indefinite_integral,
     lattice_structure_tensor,
     line_spec,
     metric_from_structure,
@@ -101,39 +99,6 @@ def test_commutation_relation_on_coordinates():
             coeff = x.shift(mu) - x  # dx^mu x^nu - x^nu dx^mu coefficient
             want = spec.spacings[mu] if mu == nu else 0.0
             assert np.all(coeff.values == want)
-
-
-def test_definite_integral_examples():
-    spec = line_spec(1.0, -5, 10)
-    one = LatticeField.constant(spec, 1.0)
-    assert definite_integral(one, 0, 3) == pytest.approx(3.0)
-    x = LatticeField.coordinate(spec, 0)
-    assert definite_integral(x, 0, 3) == pytest.approx(0 + 1 + 2)
-    with pytest.raises(ValidationError):
-        definite_integral(one, 99, 0)
-
-
-def test_fundamental_theorem_telescopes_exactly():
-    rng = np.random.default_rng(3)
-    spec = line_spec(1.0, 0, 16)
-    f = LatticeField(spec, rng.integers(-9, 9, size=16).astype(float))
-    df = forward_derivative(f, 0)
-    total = definite_integral(df, 0, 15)
-    assert total == f[15] - f[0]  # exact for integer data, l = 1
-
-
-def test_indefinite_integral_roundtrip():
-    rng = np.random.default_rng(4)
-    spec = line_spec(0.5, 2, 14)
-    f = LatticeField(spec, rng.normal(size=12))
-    big_f = indefinite_integral(f, pin=0.7)
-    assert big_f[2] == pytest.approx(0.7)
-    d = forward_derivative(big_f, 0)
-    assert np.allclose(d.values, f.values[:-1])
-    zero = LatticeField.constant(spec, 0.0)
-    assert np.all(indefinite_integral(zero, pin=1.25).values == 1.25)
-    one = indefinite_integral(LatticeField.constant(line_spec(1.0, 0, 6), 1.0))
-    assert np.array_equal(one.values, np.arange(6.0))
 
 
 def test_forward_derivative_first_order_convergence():
@@ -224,3 +189,12 @@ def test_window_validation():
         LatticeSpec((1.0,), ((3, 3),))
     with pytest.raises(ValidationError):
         LatticeSpec((-1.0,), ((0, 3),))
+    for bad in (math.nan, math.inf, -math.inf, 0.0, None):
+        with pytest.raises(ValidationError, match="spacings"):
+            LatticeSpec((1.0, bad), ((0, 3), (0, 3)))
+    for bad in (2.7, 2.0, np.float64(3.0), None, "3"):
+        with pytest.raises(ValidationError, match="integer"):
+            LatticeSpec((1.0,), ((0, bad),))
+    spec = LatticeSpec((np.float32(0.5),), ((np.int64(-2), np.int32(3)),))
+    assert spec.window == ((-2, 3),) and spec.shape == (5,)
+    assert type(spec.window[0][0]) is int and spec.spacings == (0.5,)

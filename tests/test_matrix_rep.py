@@ -101,7 +101,7 @@ def test_double_zero_matrix_is_degenerate_triple():
     assert verify_triple(op, [np.ones(3)]).all_ok
 
 
-def test_fig1_doubled_is_selfadjoint():
+def test_fig1_doubled_is_hermitian():
     op = double(FIG1)
     assert op.block.shape == (8, 8)
     assert np.max(np.abs(op.block - op.block.T)) == 0
@@ -140,11 +140,6 @@ def test_tampered_grading_detected():
 def test_doubled_operator_must_be_doubled(block):
     with pytest.raises(ValidationError):
         DoubledOperator(block, np.eye(len(block)))
-
-
-def test_example1_needs_no_doubling():
-    d = AdjacencyMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert d.is_selfadjoint()
 
 
 def test_validation():
