@@ -158,13 +158,14 @@ class LatticeField:
                 raise ValidationError(f"index {index} outside window {self.spec.window}")
         return self.values[rel]
 
+    def _values_on(self, window: Window) -> np.ndarray:
+        """View of the values on a window inside this field's window."""
+        lows = [lo for lo, _ in self.spec.window]
+        return self.values[tuple(slice(a - s, b - s) for (a, b), s in zip(window, lows))]
+
     def restricted(self, window: Window) -> "LatticeField":
         window = intersect_windows(self.spec.window, window)
-        sl = tuple(
-            slice(lo - mylo, hi - mylo)
-            for (lo, hi), (mylo, _) in zip(window, self.spec.window)
-        )
-        return LatticeField(self.spec.with_window(window), self.values[sl])
+        return LatticeField(self.spec.with_window(window), self._values_on(window))
 
     def shift(self, axis: int, steps: int = 1) -> "LatticeField":
         """Field g(i) = f(i + steps on the axis), on the translated window."""
@@ -181,8 +182,8 @@ class LatticeField:
     def _binary(self, other, op, matmul: bool):
         if isinstance(other, LatticeField):
             win = intersect_windows(self.spec.window, other.spec.window)
-            a = self.restricted(win).values
-            b = other.restricted(win).values
+            a = self._values_on(win)
+            b = other._values_on(win)
             if matmul and self.is_matrix and other.is_matrix:
                 vals = a @ b
             else:

@@ -9,6 +9,7 @@ from ncgeom.errors import NumericError, ValidationError
 from ncgeom.lattice import LatticeField, LatticeOneForm, exterior_derivative
 from ncgeom.sigma_toda import (
     BOUNDARIES,
+    CLOSEDNESS_TOL,
     ChiLadder,
     HodgeStar,
     TodaState,
@@ -228,6 +229,18 @@ def test_potential_rejects_non_closed_forms():
         potential(w)
 
 
+def test_potential_rejects_a_small_curl_that_adds_up():
+    # curl 9e-10 along row 0 passes a pointwise bound of 1e-9, but the path
+    # sums give a "primitive" whose time differences miss w by 199 * 9e-10
+    spec = two_dim_spec(1.0, 1.0, (0, 4), (0, 200))
+    w1 = np.zeros((4, 200))
+    w1[1] = 9e-10
+    w = LatticeOneForm((LatticeField.constant(spec, 0.0), LatticeField(spec, w1)))
+    assert d_one_form(w).max_abs() < CLOSEDNESS_TOL
+    with pytest.raises(NumericError, match="not closed"):
+        potential(w)
+
+
 # -- invert_star_d ---------------------------------------------------------
 
 
@@ -309,10 +322,24 @@ def test_matrix_ladder_conservation():
 
 
 def test_ladder_window_exhaustion_gives_partial_result():
-    a = toda_solution_field(n_sites=6, steps=4, amp=0.1)
-    ladder = current_ladder(a, m_max=5)
-    assert ladder.note is not None
-    assert 0 < ladder.depth < 5
+    for n_sites, steps, depth in [(6, 4, 2), (5, 3, 1), (10, 8, 4)]:
+        a = toda_solution_field(n_sites=n_sites, steps=steps, amp=0.1)
+        ladder = current_ladder(a, m_max=5)
+        assert ladder.depth == len(ladder.chis) == len(ladder.residuals) == depth
+        assert ladder.note.startswith(f"window exhausted at level {depth + 1}: ")
+
+
+def test_ladder_needs_a_window_for_the_field_equation():
+    with pytest.raises(ValidationError, match="empty intersection"):
+        current_ladder(toda_solution_field(n_sites=3, steps=4, amp=0.1))
+
+
+def test_ladder_checks_closedness_before_inverting():
+    # star scaled by 1e-3 keeps the field equation but divides the curl of
+    # the inverted current by c0 c1 = -1e-6
+    a = toda_solution_field(n_sites=16, steps=50)
+    with pytest.raises(NumericError, match=r"J\^\(2\) is not conserved"):
+        current_ladder(a, HodgeStar(1e-3, -1e-3))
 
 
 def test_ladder_rejects_non_solutions():
