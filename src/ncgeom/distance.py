@@ -25,13 +25,14 @@ Gram matrix tr(B_k B_l) is twice the Laplacian of the weights
 D_kl^2 + D_lk^2, positive definite on the free k of a connected D).  The B_k
 are traceless, so the repair keeps tr(X); a negative lowest eigenvalue -e of
 the repaired X costs 2n e on the bound.  A solve stops once that bound and
-f(q) agree to the relative gap DEFAULT_TOL, and raises NumericError rather
-than return an uncertified value.  The repair is needed because rounding in
-the ill-conditioned Schur matrix leaves the iterates about 1e-9 off the
-constraints when the lengths span 1e-2 to 1e2.  For the same reason each
-corrector direction gets one refinement pass that solves for the residual
-dX misses; without it the 6 x 6 grid corner breaks down.  A brute-force
-oracle gives independent values on small instances.
+the value it returns, f(q) of the floored f, agree to the relative gap
+DEFAULT_TOL, and raises NumericError rather than return an uncertified
+value.  The repair is needed because rounding in the ill-conditioned Schur
+matrix leaves the iterates about 1e-9 off the constraints when the lengths
+span 1e-2 to 1e2.  For the same reason each corrector direction gets one
+refinement pass that solves for the residual dX misses; without it the
+6 x 6 grid corner breaks down.  A brute-force oracle gives independent
+values on small instances.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
-from .matrix_rep import base_matrix, commutator_differential
+from .errors import NumericError, ValidationError, finite_array, integer
+from .matrix_rep import _commutator, base_matrix, commutator_differential
 
 DEFAULT_TOL = 1e-9  # relative duality gap at which a solve stops
 ORACLE_MAX_POINTS = 6
@@ -56,10 +57,7 @@ RESIDUAL_TOL = 1e-9  # largest accepted |tr(X B_k) + delta_kq| of the certificat
 
 
 def _real_base(operator) -> np.ndarray:
-    d = base_matrix(operator)
-    if np.iscomplexobj(d):
-        raise ValidationError("the distance needs a real operator")
-    return d
+    return finite_array(base_matrix(operator), "the distance's operator")
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,7 @@ class DistanceProblem:
 
     def __post_init__(self):
         for v in (self.p, self.q):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValidationError(f"point index {v!r} must be an integer")
+            integer(v, f"point index {v!r}")
         n = self.base.shape[0]
         if not (0 <= self.p < n and 0 <= self.q < n):
             raise ValidationError("point indices out of range")
@@ -129,7 +126,7 @@ def _undirected_components(d: np.ndarray) -> np.ndarray:
 def _lmi(d: np.ndarray, f: np.ndarray, identity: float = 1.0) -> np.ndarray:
     """identity * I + sum_k f_k B_k, the 2n x 2n block form of [D, f]."""
     n = d.shape[0]
-    c = commutator_differential(d, f)
+    c = _commutator(d, f)
     m = identity * np.eye(2 * n)
     m[:n, n:] = c
     m[n:, :n] = c.T
@@ -194,9 +191,18 @@ def _repaired(d: np.ndarray, x: np.ndarray, infeasible: np.ndarray) -> np.ndarra
     return x + _lmi(d, np.concatenate(([0.0], c)), identity=0.0)
 
 
+def _floored(f: np.ndarray) -> np.ndarray:
+    """f rounded down to multiples of 2^-44 times its size, far inside the
+    margin M(f) > 0 leaves: adding a constant on that grid then changes no
+    difference f_j - f_i, so [D, f + c] equals [D, f] bit for bit."""
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(f).max()))[1] - 44)
+    return np.floor(f / unit) * unit
+
+
 def _primal_dual_solve(d: np.ndarray, q: int):
     """Certified max f(q) s.t. M(f) >= 0 with f(0) = 0 on a connected D:
-    (f, upper_bound, iterations, residual) with M(f) positive definite."""
+    (f, upper_bound, iterations, residual) with M(f) positive definite and f
+    floored, so the stop test judges the value that is returned."""
     n = d.shape[0]
     dim = 2 * n
     target = np.eye(n - 1)[q - 1]  # delta_kq over the free k = 1 .. n-1
@@ -207,13 +213,15 @@ def _primal_dual_solve(d: np.ndarray, q: int):
         infeasible = -_lmi_adjoint(d, x)[1:] - target  # r_p = -delta_q - A(X)
         upper = float(x.trace())  # also the repaired trace
         if upper - f[q] <= DEFAULT_TOL * upper:
+            floored = _floored(f)
             cert = _repaired(d, x, infeasible)
             residual = float(np.abs(_lmi_adjoint(d, cert)[1:] + target).max())
             # a negative eigenvalue -e of the certificate is absorbed by
             # cert + e I, which every tr(. B_k) ignores
             bound = upper + dim * max(0.0, -float(np.linalg.eigvalsh(cert)[0]))
-            if residual <= RESIDUAL_TOL and 0.0 <= bound - f[q] <= DEFAULT_TOL * bound:
-                return f, bound, iteration, residual
+            gap = bound - floored[q]
+            if residual <= RESIDUAL_TOL and 0.0 <= gap <= DEFAULT_TOL * bound:
+                return floored, bound, iteration, residual
         if iteration == MAX_NEWTON_STEPS:
             break
         try:
@@ -272,13 +280,8 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
     f, upper, iterations, residual = _primal_dual_solve(
         d[np.ix_(comp, comp)], int(np.flatnonzero(comp == q)[0])
     )
-    # Round f down to multiples of 2^-44 times its size, far inside the
-    # margin M(f) > 0 leaves: adding a constant on that grid then changes no
-    # difference f_j - f_i, so [D, f + c] equals [D, f] bit for bit, and the
-    # value stays at most f(q), below the bound.
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(f).max()))[1] - 44)
     optimizer = np.zeros(n)
-    optimizer[comp] = np.floor(f / unit) * unit
+    optimizer[comp] = f
     return DistanceSolution(
         value=float(optimizer[q] - optimizer[p]),
         optimizer=optimizer,

@@ -1,10 +1,15 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the checks on numbers
+that raise them.
 
 ValidationError covers bad inputs (malformed graphs, shape mismatches,
 preconditions on sizes and windows).  NumericError covers failures that only
 show up at run time: positivity violations in the discrete Toda step,
 non-closed one-forms handed to the potential constructor, singular matrices.
 """
+
+import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -13,3 +18,33 @@ class ValidationError(ValueError):
 
 class NumericError(RuntimeError):
     """A numeric condition required by an operation failed."""
+
+
+def integer(value, what: str) -> int:
+    """`value` as an int; ValidationError unless it is an integer, not a bool."""
+    if type(value) is int:  # the common case, without the slower ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer")
+    return int(value)
+
+
+def real_number(value, what: str) -> float:
+    """`value` as a float; ValidationError unless it is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number")
+    return float(value)
+
+
+def finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
+    """`values` as an array; ValidationError unless its dtype kind is one of
+    `kinds` (ints and floats by default, "iufc" admits complex) and every
+    entry is finite."""
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise ValidationError(f"{what} must be an array of numbers: {exc}") from None
+    if a.dtype.kind not in kinds or not np.isfinite(a).all():
+        kind = "" if "c" in kinds else "real "
+        raise ValidationError(f"{what} must be finite {kind}numbers")
+    return a

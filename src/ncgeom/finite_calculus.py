@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +74,8 @@ class Digraph:
             if not (isinstance(a, tuple) and len(a) == 2):
                 raise ValidationError(f"arrow {a!r} is not a pair")
             i, j = a
+            if type(i) is not int or type(j) is not int:  # plain ints need no check
+                i, j = integer(i, "each arrow vertex"), integer(j, "each arrow vertex")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(f"arrow {a!r} out of range for {n} points")
             if i == j:
@@ -243,7 +245,7 @@ class ReducedCalculus:
     """
 
     def __init__(self, graph: Digraph, degree_cap: int = DEFAULT_DEGREE_CAP):
-        if degree_cap < 1:
+        if integer(degree_cap, "degree_cap") < 1:
             raise ValidationError("degree_cap must be at least 1")
         self.graph = graph
         self.degree_cap = degree_cap

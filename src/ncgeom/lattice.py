@@ -46,25 +46,29 @@ class LatticeSpec:
     base_point: tuple = None
 
     def __post_init__(self):
+        bp = self.base_point
         try:
             sp = tuple(float(s) for s in self.spacings)
             win = tuple(
                 (operator.index(lo), operator.index(hi)) for lo, hi in self.window
             )
+            bp = (0.0,) * len(sp) if bp is None else tuple(float(x) for x in bp)
         except (TypeError, ValueError) as exc:
             raise ValidationError(
-                f"spacings must be real and window bounds integer: {exc}"
+                f"spacings and base point must be real, window bounds integer: {exc}"
             ) from None
         if not all(0 < s < math.inf for s in sp):
             raise ValidationError("spacings must be positive and finite")
+        if True in (type(b) is bool for pair in self.window for b in pair):
+            raise ValidationError("window bounds must be integers, not bools")
         if len(win) != len(sp):
             raise ValidationError("window and spacings dimensions differ")
         if any(lo >= hi for lo, hi in win):
             raise ValidationError("window must be nonempty on every axis")
-        bp = self.base_point
-        bp = tuple(0.0 for _ in sp) if bp is None else tuple(float(x) for x in bp)
         if len(bp) != len(sp):
             raise ValidationError("base point dimension mismatch")
+        if not all(math.isfinite(x) for x in bp):
+            raise ValidationError("base point must be finite")
         object.__setattr__(self, "spacings", sp)
         object.__setattr__(self, "window", win)
         object.__setattr__(self, "base_point", bp)
@@ -160,8 +164,9 @@ class LatticeField:
 
     def _values_on(self, window: Window) -> np.ndarray:
         """View of the values on a window inside this field's window."""
-        lows = [lo for lo, _ in self.spec.window]
-        return self.values[tuple(slice(a - s, b - s) for (a, b), s in zip(window, lows))]
+        starts = [lo for lo, _ in self.spec.window]
+        sl = tuple(slice(lo - s, hi - s) for (lo, hi), s in zip(window, starts))
+        return self.values[sl]
 
     def restricted(self, window: Window) -> "LatticeField":
         window = intersect_windows(self.spec.window, window)

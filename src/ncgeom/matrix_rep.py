@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_array
 from .finite_calculus import Digraph
 
 TRIPLE_TOL = 1e-12
@@ -123,11 +123,16 @@ def represent_function(values) -> np.ndarray:
 
 
 def commutator_differential(matrix, values) -> np.ndarray:
-    """[D, f] entrywise: D_ij (f(j) - f(i))."""
+    """[D, f] entrywise: D_ij (f(j) - f(i)), for finite real or complex f."""
     d = base_matrix(matrix)
-    f = np.asarray(values)
+    f = finite_array(values, "function values", kinds="iufc")
     if f.shape != (d.shape[0],):
         raise ValidationError("function length must match the matrix size")
+    return _commutator(d, f)
+
+
+def _commutator(d: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """[D, f] of a matrix and a checked function, for solvers' inner loops."""
     return d * (f[None, :] - f[:, None])
 
 

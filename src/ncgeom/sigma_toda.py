@@ -10,7 +10,9 @@ differentials, which shows up below as the -l0 / -l1 shifts:
 The coefficients c0, c1 are constants, so star star is a pure shift (times
 -c0*c1) and star is undone by a shift and a division; that turns a conserved
 current J into a closed one-form w, whose curl dw is d star J shifted one site
-on each axis over -c0*c1, and the path-sum potential integrates w.
+on each axis over -c0*c1, and the path-sum potential integrates w.  The
+current ladder therefore reads the closedness of w off the conservation
+residual of J that it records anyway.
 The discrete Toda flow advances the newest time slice in closed form, one
 logarithm per site, and satisfies the sigma-model field equation d star A = 0
 exactly by construction.
@@ -25,12 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, finite_array, integer, real_number
 from .lattice import (
     LatticeField,
     LatticeOneForm,
@@ -48,6 +49,9 @@ CLOSEDNESS_TOL = 1e-9
 # multiple of the continuum reference step
 ORDER_L0S = (0.1, 0.05, 0.025)
 ORDER_REF_H = 1e-3
+# most float64 values one Toda run may return (1 GiB); a longer run raises
+# ValidationError before it allocates
+MAX_RUN_VALUES = 2**27
 
 
 def two_dim_spec(l0, l1, t_range, x_range) -> LatticeSpec:
@@ -68,12 +72,10 @@ class HodgeStar:
 
     def __post_init__(self):
         for name in ("c0", "c1"):
-            c = getattr(self, name)
-            if isinstance(c, bool) or not isinstance(c, numbers.Real):
-                raise ValidationError(f"{name} must be a real number")
+            c = real_number(getattr(self, name), name)
             if not (c != 0 and math.isfinite(c)):
                 raise ValidationError(f"{name} must be nonzero and finite")
-            object.__setattr__(self, name, float(c))
+            object.__setattr__(self, name, c)
 
 
 def star(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeOneForm:
@@ -109,6 +111,8 @@ class GaugeField:
 
 def maurer_cartan(a: LatticeField) -> GaugeField:
     """A = a^-1 da with the flatness check dA + AA = 0."""
+    if a.spec.n != 2:
+        raise ValidationError("the source must be a field on the 2-D lattice")
     ainv = a.inverse()
     comps = tuple(ainv * forward_derivative(a, mu) for mu in (TIME, SPACE))
     one_form = LatticeOneForm(comps)
@@ -136,8 +140,9 @@ def potential(w: LatticeOneForm) -> LatticeField:
 
     Sums w along lattice edges from the lower window corner, first in time,
     then in space; closedness makes every edge path give the same sum.  The
-    primitive vanishes at the corner, which makes it unique.  NumericError
-    unless max|d(chi) - w| <= CLOSEDNESS_TOL, so no curl adds up unseen.
+    primitive vanishes at the corner, which makes it unique.  Raises
+    NumericError unless max|d(chi) - w| <= CLOSEDNESS_TOL, which also catches
+    a curl too small to see pointwise that adds up along the paths.
     """
     l0, l1 = w.spec.spacings
     w0 = w.components[0].values
@@ -199,6 +204,8 @@ def current_ladder(
     CLOSEDNESS_TOL |c0 c1|.  Each level consumes window layers; if the window
     runs out before m_max the ladder returns its complete levels with a note.
     """
+    if integer(m_max, "m_max") < 1:
+        raise ValidationError("m_max must be at least 1")
     A = maurer_cartan(a).one_form
     resid = field_residual(A, h).max_abs()
     if resid > FIELD_EQ_TOL:
@@ -249,7 +256,7 @@ def _set_ghosts(qe: np.ndarray, boundary: str) -> None:
 
 def _padded(q, boundary: str) -> np.ndarray:
     """A chain (or a stack of chains along the last axis) with its ghosts."""
-    q = np.asarray(q, dtype=float)
+    q = finite_array(q, "q")
     qe = np.empty(q.shape[:-1] + (q.shape[-1] + 2,))
     qe[..., 1:-1] = q
     _set_ghosts(qe, boundary)
@@ -271,6 +278,13 @@ def _overflow_is_numeric(fn):
             ) from None
 
     return checked
+
+
+def _check_run_size(rows: float, sites: int) -> None:
+    if rows * sites > MAX_RUN_VALUES:
+        raise ValidationError(
+            f"{rows:.3g} rows of {sites} sites exceed {MAX_RUN_VALUES} values"
+        )
 
 
 def _bonds(qe: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -298,16 +312,15 @@ class TodaState:
     l1: float
 
     def __post_init__(self):
-        qp = np.asarray(self.q_prev, dtype=float)
-        qc = np.asarray(self.q_curr, dtype=float)
+        qp = finite_array(self.q_prev, "slices").astype(float, copy=False)
+        qc = finite_array(self.q_curr, "slices").astype(float, copy=False)
         if qp.shape != qc.shape or qp.ndim != 1 or qp.size == 0:
             raise ValidationError("slices must be equal-length 1-D arrays")
-        if not (np.all(np.isfinite(qp)) and np.all(np.isfinite(qc))):
-            raise ValidationError("slices must be finite")
-        if not (0 < self.l0 < math.inf and 0 < self.l1 < math.inf):
+        l0, l1 = real_number(self.l0, "l0"), real_number(self.l1, "l1")
+        if not (0 < l0 < math.inf and 0 < l1 < math.inf):
             raise ValidationError("spacings must be positive and finite")
-        object.__setattr__(self, "q_prev", qp)
-        object.__setattr__(self, "q_curr", qc)
+        for name, value in zip(("q_prev", "q_curr", "l0", "l1"), (qp, qc, l0, l1)):
+            object.__setattr__(self, name, value)
 
 
 def toda_step_discrete(state: TodaState) -> TodaState:
@@ -327,8 +340,9 @@ def toda_step_discrete(state: TodaState) -> TodaState:
 @_overflow_is_numeric
 def toda_run_discrete(state: TodaState, steps: int) -> np.ndarray:
     """Evolve `steps` times; rows are the slices q(0), q(1), ..., q(steps+1)."""
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+    if integer(steps, "steps") < 0:
         raise ValidationError("steps must be an integer >= 0")
+    _check_run_size(steps + 2, state.q_curr.size)
     rows = np.empty((steps + 2, state.q_curr.size))
     rows[0], rows[1] = state.q_prev, state.q_curr
     ratio = (state.l0 / state.l1) ** 2
@@ -348,9 +362,12 @@ def toda_run_discrete(state: TodaState, steps: int) -> np.ndarray:
     return rows
 
 
+@_overflow_is_numeric
 def exp_field_from_slices(slices: np.ndarray, l0: float, l1: float) -> LatticeField:
     """The sigma-model source a = e^{-q} on the spacetime window of a run."""
-    slices = np.asarray(slices, dtype=float)
+    slices = finite_array(slices, "slices")
+    if slices.ndim != 2:
+        raise ValidationError("slices must be a 2-D array, one row per time")
     spec = two_dim_spec(l0, l1, (0, slices.shape[0]), (0, slices.shape[1]))
     return LatticeField(spec, np.exp(-slices))
 
@@ -370,7 +387,7 @@ _YOSHIDA_D = (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)
 
 
 def _check_l1(l1: float) -> None:
-    if not 0 < l1 < math.inf:
+    if not 0 < real_number(l1, "spacing l1") < math.inf:
         raise ValidationError("spacing l1 must be positive and finite")
 
 
@@ -396,7 +413,8 @@ def _energy(q, p, l1: float, boundary: str) -> np.ndarray:
 
 
 def toda_energy(q, p, l1: float, boundary: str = "fixed") -> float:
-    if np.ndim(q) != 1 or np.shape(q) != np.shape(p):
+    q, p = finite_array(q, "q"), finite_array(p, "p")
+    if q.ndim != 1 or q.shape != p.shape:
         raise ValidationError("q and p must be equal-length 1-D arrays")
     _check_l1(l1)
     return float(_energy(q, p, l1, boundary))
@@ -431,17 +449,16 @@ def toda_integrate(
     The chain lives inside one padded buffer whose ghost sites carry the
     boundary (see `_set_ghosts`); only periodic ghosts move with the chain.
     """
-    if not 0 < h < math.inf:
+    if not 0 < real_number(h, "step size") < math.inf:
         raise ValidationError("step size must be positive and finite")
-    if not 0 <= t_final < math.inf:
+    if not 0 <= real_number(t_final, "t_final") < math.inf:
         raise ValidationError("t_final must be finite and >= 0")
     _check_l1(l1)
-    q = np.array(q0, dtype=float)
-    p = np.array(p0, dtype=float)
+    q = finite_array(q0, "q0").astype(float)
+    p = finite_array(p0, "p0").astype(float)
     if q.shape != p.shape or q.ndim != 1 or q.size == 0:
         raise ValidationError("q0 and p0 must be equal-length nonempty 1-D arrays")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValidationError("q0 and p0 must be finite")
+    _check_run_size(2 * (t_final / h + 1), q.size)  # the q and p rows
     qe = _padded(q, boundary)
     q = qe[1:-1]
     periodic = boundary == "periodic"
@@ -479,9 +496,12 @@ def discrete_continuum_orders(q0, p0, t_final: float = 1.0, l1: float = 1.0):
 
     Each discrete run is seeded with the reference trajectory's first two
     slices, so the measured error is purely the scheme's O(l0) defect.
-    Returns (errors, orders).
+    Returns (errors, orders).  Every run needs a step, so t_final must be
+    at least max(ORDER_L0S).
     """
-    q0 = np.asarray(q0, dtype=float)
+    if not real_number(t_final, "t_final") >= max(ORDER_L0S):
+        raise ValidationError(f"t_final must be at least {max(ORDER_L0S)}")
+    q0 = finite_array(q0, "q0")
     ref = toda_integrate(q0, p0, t_final, ORDER_REF_H, l1=l1, boundary="fixed")
     errors = []
     for l0 in ORDER_L0S:

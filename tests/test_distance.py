@@ -554,3 +554,16 @@ def test_every_connected_pair_is_certified(d):
         assert sol.upper_bound - sol.value <= 1e-9 * sol.upper_bound
         assert sol.residual <= RESIDUAL_TOL
         assert commutator_norm(d, sol.optimizer) <= 1.0 + 1e-9
+
+
+def test_returned_value_meets_the_relative_gap():
+    # Drawn by the property above: the solver stopped on the unrounded f(q),
+    # and flooring the optimizer widened the gap to 1.00001e-9 relative.
+    d = np.zeros((6, 6))
+    d[0, 3] = d[0, 4] = 0.14168623118102053
+    d[1, 2] = 0.1
+    d[3, 0] = d[4, 5] = 1.0
+    d[3, 4] = d[5, 1] = 0.9372715897501961
+    sol = distance(DistanceProblem(d, 0, 1))
+    assert 0.0 <= sol.upper_bound - sol.value <= 1e-9 * sol.upper_bound
+    assert sol.value == sol.optimizer[1] - sol.optimizer[0]

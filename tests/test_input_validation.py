@@ -1,52 +1,168 @@
 """Numeric arguments: a bad value raises ValidationError, a numeric failure
-NumericError, and no bare Python or numpy error escapes."""
+NumericError, and no bare Python or numpy error escapes (pyproject.toml turns
+numpy's RuntimeWarnings, ComplexWarning among them, into errors)."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgeom.distance import DistanceProblem
+from ncgeom.distance import DistanceProblem, commutator_norm, distance
 from ncgeom.errors import NumericError, ValidationError
-from ncgeom.lattice import LatticeSpec
+from ncgeom.finite_calculus import (
+    Digraph,
+    FiniteSet,
+    FormExpr,
+    calculus_for,
+    function_differential,
+    multiply,
+)
+from ncgeom.lattice import LatticeField, LatticeOneForm, LatticeSpec, StructureTensor
+from ncgeom.matrix_rep import AdjacencyMatrix, base_matrix, double
 from ncgeom.sigma_toda import (
     HodgeStar,
     TodaState,
+    current_ladder,
     discrete_continuum_orders,
+    exp_field_from_slices,
+    maurer_cartan,
     toda_energy,
     toda_force,
+    toda_integrate,
     toda_run_discrete,
 )
 
 BUMP = 0.3 * np.exp(-0.5 * (np.arange(4) - 1.5) ** 2)
 STATE = TodaState(BUMP, BUMP, 0.5, 1.0)
+TWO_POINT = np.array([[0, 1.0], [1, 0]])
+LINE = LatticeSpec((1.0,), ((0, 4),))
+PLANE = LatticeSpec((1.0, 1.0), ((0, 8), (0, 8)))
+LINE_FIELD = LatticeField(LINE, np.exp(-BUMP))
+
+
+def two_point(entry):
+    """The two-point operator with D[0, 1] = entry, in numpy's dtype for it."""
+    return np.array([[0, entry], [1, 0]])
+
 
 VALUES = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, 2.5, True]),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, 2.5, True, None, 1j, "1", "a"]
+    ),
     st.floats(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(),
+    st.text(max_size=3),
     st.integers(-4, 4),
 )
 
 ENTRY_POINTS = {
     "LatticeSpec spacing": lambda v: LatticeSpec((v, 1.0), ((0, 3), (0, 3))),
     "LatticeSpec bound": lambda v: LatticeSpec((1.0, 1.0), ((0, 3), (v, 3))),
-    "DistanceProblem": lambda v: DistanceProblem(np.array([[0, 1.0], [1, 0]]), v, 1),
+    "LatticeSpec base point": lambda v: LatticeSpec((1.0,), ((0, 3),), (v,)),
+    "DistanceProblem index": lambda v: DistanceProblem(TWO_POINT, v, 1),
+    "DistanceProblem operator": lambda v: DistanceProblem(two_point(v), 0, 1),
+    "commutator_norm": lambda v: commutator_norm(TWO_POINT, np.array([0, v])),
+    "Digraph vertex": lambda v: calculus_for(Digraph.from_arrows(3, [(0, v)]), 2),
+    "degree_cap": lambda v: calculus_for(Digraph.from_arrows(2, [(0, 1)]), v),
     "HodgeStar c0": lambda v: HodgeStar(c0=v),
     "HodgeStar c1": lambda v: HodgeStar(c1=v),
+    "TodaState l0": lambda v: TodaState(BUMP, BUMP, v, 1.0),
+    "TodaState q": lambda v: TodaState(BUMP, np.array([0, 0, 0, v]), 0.5, 1.0),
     "toda_run_discrete": lambda v: toda_run_discrete(STATE, v),
     "toda_force": lambda v: toda_force(BUMP, v),
     "toda_energy": lambda v: toda_energy(BUMP, BUMP, v),
+    "current_ladder m_max": lambda v: current_ladder(
+        LatticeField.constant(PLANE, 1.0), m_max=v
+    ),
     "discrete_continuum_orders": lambda v: discrete_continuum_orders(
-        np.full(4, float(v)), np.zeros(4)
+        np.full(4, v), np.zeros(4)
     ),
 }
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(name=st.sampled_from(sorted(ENTRY_POINTS)), value=VALUES)
 def test_bad_numbers_raise_only_ncgeom_errors(name, value):
     try:
         ENTRY_POINTS[name](value)
     except (ValidationError, NumericError):
         pass
+
+
+# Each input below once escaped as a bare Python or numpy error or warning,
+# or was accepted.  Step counts and t_final stay out of the property test: a
+# large finite one is a valid run that takes minutes.
+REJECTED = {
+    "nan operator": lambda: distance(DistanceProblem(two_point(np.nan), 0, 1)),
+    "inf operator": lambda: distance(DistanceProblem(two_point(np.inf), 0, 1)),
+    "string operator": lambda: DistanceProblem(two_point("1"), 0, 1),
+    "nan function": lambda: commutator_norm(TWO_POINT, [0.0, np.nan]),
+    "nan base point": lambda: LatticeSpec((1.0,), ((0, 3),), (math.nan,)),
+    "inf base point": lambda: LatticeSpec((1.0,), ((0, 3),), (-math.inf,)),
+    "string base point": lambda: LatticeSpec((1.0,), ((0, 3),), ("x",)),
+    "bool window bound": lambda: LatticeSpec((1.0,), ((False, 3),)),
+    "1-D maurer_cartan": lambda: maurer_cartan(LINE_FIELD),
+    "1-D current_ladder": lambda: current_ladder(LINE_FIELD),
+    "1-D slices": lambda: exp_field_from_slices(BUMP, 0.5, 1.0),
+    "empty ladder": lambda: current_ladder(LatticeField.constant(PLANE, 1.0), m_max=0),
+    "fractional vertex": lambda: calculus_for(Digraph.from_arrows(3, [(0, 1.5)])),
+    "fractional cap": lambda: calculus_for(Digraph.from_arrows(2, [(0, 1)]), 2.5),
+    "string spacing l0": lambda: TodaState(BUMP, BUMP, "0.5", 1.0),
+    "complex slice": lambda: TodaState(BUMP, BUMP + 0j, 0.5, 1.0),
+    "huge t_final": lambda: toda_integrate([0.0], [0.0], 1e300, 1.0),
+    "huge step count": lambda: toda_run_discrete(STATE, 2**62),
+    "short t_final": lambda: discrete_continuum_orders(BUMP, np.zeros(4), t_final=0.01),
+    "string t_final": lambda: discrete_continuum_orders(BUMP, np.zeros(4), t_final="1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_bad_inputs_raise_validation_error(name):
+    with pytest.raises(ValidationError):
+        REJECTED[name]()
+
+
+# Validation branches that no other test reaches.
+UNREACHED = {
+    "empty FiniteSet": lambda: FiniteSet(()),
+    "repeated labels": lambda: FiniteSet(("a", "a")),
+    "unknown label": lambda: FiniteSet(("a", "b")).index_of("c"),
+    "arrow not a pair": lambda: Digraph(FiniteSet.of_size(3), frozenset({(0, 1, 2)})),
+    "arrow out of range": lambda: Digraph.from_arrows(2, [(0, 2)]),
+    "self loop": lambda: Digraph.from_arrows(2, [(1, 1)]),
+    "empty path": lambda: FormExpr({(): 1}),
+    "path not a tuple": lambda: FormExpr({"01": 1}),
+    "repeated vertex": lambda: FormExpr.from_path((0, 0, 1)),
+    "degree_cap 0": lambda: calculus_for(Digraph.from_arrows(2, [(0, 1)]), 0),
+    "short function": lambda: function_differential(
+        [1, 2], calculus_for(Digraph.from_arrows(3, [(0, 1)]))
+    ),
+    "window dimension": lambda: LatticeSpec((1.0, 1.0), ((0, 3),)),
+    "base point dimension": lambda: LatticeSpec((1.0,), ((0, 3),), (0.0, 0.0)),
+    "field shape": lambda: LatticeField(LINE, np.zeros(3)),
+    "non-square field values": lambda: LatticeField(LINE, np.zeros((4, 2, 3))),
+    "index outside window": lambda: LINE_FIELD[4],
+    "one-form component count": lambda: LatticeOneForm((LINE_FIELD, LINE_FIELD)),
+    "no one-form components": lambda: LatticeOneForm(()),
+    "structure tensor shape": lambda: StructureTensor(np.zeros((2, 2, 3))),
+    "non-square adjacency": lambda: AdjacencyMatrix(np.zeros((2, 3))),
+    "non-square operator": lambda: base_matrix(np.zeros((2, 3))),
+    "represent length": lambda: double(TWO_POINT).represent([1.0, 2.0, 3.0]),
+    "slice shapes differ": lambda: TodaState(BUMP, BUMP[:3], 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREACHED))
+def test_unreached_validation_branches(name):
+    with pytest.raises(ValidationError):
+        UNREACHED[name]()
+
+
+def test_products_past_the_top_degree_vanish():
+    # the 3-cycle 0 -> 1 -> 2 -> 0 has dimensions [3, 3, 0], so every 2-form is 0
+    calc = calculus_for(Digraph.from_arrows(3, [(0, 1), (1, 2), (2, 0)]))
+    assert calc.dimensions() == [3, 3, 0]
+    product = multiply(FormExpr.from_path((0, 1)), FormExpr.from_path((1, 2, 0)), calc)
+    assert product == FormExpr.zero()

@@ -449,6 +449,8 @@ def test_overflow_raises_numeric_error():
         toda_integrate(q, np.zeros(5), 1.0, 1e-2, l1=1e-100)
     with pytest.raises(NumericError, match="non-finite"):
         toda_run_discrete(TodaState([0.0, 800.0], [800.0, 0.0], 0.5, 1.0), 1)
+    with pytest.raises(NumericError, match="non-finite"):
+        exp_field_from_slices(np.full((2, 2), -800.0), 0.5, 1.0)
 
 
 def test_discrete_run_satisfies_field_equation():
