@@ -31,6 +31,8 @@ def integer(value, what: str) -> int:
 
 def real_number(value, what: str) -> float:
     """`value` as a float; ValidationError unless it is a real number, not a bool."""
+    if type(value) is float:  # the common case, without the slower ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a real number")
     return float(value)

@@ -44,7 +44,7 @@ class FiniteSet:
 
     @classmethod
     def of_size(cls, n: int) -> "FiniteSet":
-        return cls(tuple(range(n)))
+        return cls(tuple(range(integer(n, "the point count"))))
 
     @property
     def n(self) -> int:
@@ -129,10 +129,6 @@ class FormExpr:
         return expr
 
     @classmethod
-    def zero(cls) -> "FormExpr":
-        return cls()
-
-    @classmethod
     def from_path(cls, path: Sequence[int]) -> "FormExpr":
         return cls({tuple(path): 1})
 
@@ -155,9 +151,6 @@ class FormExpr:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         if not isinstance(other, FormExpr):
             return NotImplemented
@@ -165,14 +158,6 @@ class FormExpr:
         for p, c in other.terms.items():
             out[p] = out.get(p, 0) + c
         return FormExpr(out)
-
-    def __neg__(self):
-        return FormExpr({p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, FormExpr):
-            return NotImplemented
-        return self + (-other)
 
     def __rmul__(self, scalar):
         return FormExpr({p: scalar * c for p, c in self.terms.items()})
@@ -358,10 +343,6 @@ class ReducedCalculus:
     def relations(self, r: int) -> list[FormExpr]:
         return list(self.relations_by_degree[r]) if self._built(r) else []
 
-    @property
-    def is_universal(self) -> bool:
-        return not self._deleted
-
     def is_admissible_path(self, path: Path) -> bool:
         n = self.graph.n
         if not all(0 <= v < n for v in path):
@@ -380,16 +361,20 @@ class ReducedCalculus:
     # -- algebra ------------------------------------------------------
 
     def _normalized(self, raw: dict) -> FormExpr:
-        """Reduce admissible paths modulo the relations."""
+        """Reduce admissible paths modulo the relations.
+
+        Pivot rows are fully reduced, so subtracting one brings in no other
+        lead: one visit to each path of the expression clears every lead.
+        """
         out = {path: c for path, c in raw.items() if c != 0}
-        for r in {len(p) - 1 for p in out}:
-            if not self._built(r):
-                for p in [p for p in out if len(p) - 1 == r]:
-                    del out[p]
+        built = {r: self._built(r) for r in {len(p) - 1 for p in out}}
+        for p in list(out):
+            if not built[len(p) - 1]:
+                del out[p]
                 continue
-            for lead, row in self._pivots_by_degree[r].items():
-                if lead in out:
-                    _subtract(out, out.pop(lead), row, lead)
+            row = self._pivots_by_degree[len(p) - 1].get(p)
+            if row is not None:
+                _subtract(out, out.pop(p), row, p)
         return FormExpr(out)
 
     def multiply(self, a: FormExpr, b: FormExpr) -> FormExpr:
@@ -442,7 +427,7 @@ def build_universal(
     base: FiniteSet | int, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> ReducedCalculus:
     """Universal differential calculus: the complete digraph, no relations."""
-    if isinstance(base, int):
+    if not isinstance(base, FiniteSet):
         base = FiniteSet.of_size(base)
     return ReducedCalculus(Digraph.complete(base), degree_cap=degree_cap)
 

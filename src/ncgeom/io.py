@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 from .errors import ValidationError
-from .finite_calculus import Digraph, FiniteSet, FormExpr
+from .finite_calculus import Digraph, FiniteSet
 
 
 def dumps_canonical(obj) -> str:
@@ -172,22 +172,3 @@ def load_digraph(path):
         return _parse_graph_json(text, str(path))
     return _parse_edge_list(text, str(path))
 
-
-def form_expr_to_json(expr: FormExpr) -> list:
-    """FormExpr as a list of {path, re, im} records, path-sorted."""
-    out = []
-    for path in sorted(expr.terms, key=lambda p: (len(p), p)):
-        c = complex(expr.terms[path])
-        out.append({"path": list(path), "re": c.real, "im": c.imag})
-    return out
-
-
-def form_expr_from_json(records) -> FormExpr:
-    terms = {}
-    for rec in records:
-        path = tuple(rec["path"])
-        c = complex(rec.get("re", 0.0), rec.get("im", 0.0))
-        if c.imag == 0:
-            c = c.real
-        terms[path] = terms.get(path, 0) + c
-    return FormExpr(terms)

@@ -3,8 +3,8 @@
 Fields live on rectangular index windows; every shift-consuming operation
 returns its result on the largest window where it is defined instead of
 assuming an infinite lattice.  Forward differences realize the left partial
-derivatives of the calculus, backward differences the right ones, and moving
-a coefficient past a differential shifts its argument by one spacing.
+derivatives of the calculus, and moving a coefficient past a differential
+shifts its argument by one spacing.
 
 Values may be scalars or uniform k x k matrices; `*` multiplies pointwise,
 using the matrix product for matrix-valued fields.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_number
 
 Window = tuple[tuple[int, int], ...]
 
@@ -39,23 +39,21 @@ def intersect_windows(a: Window, b: Window) -> Window:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Lattice geometry: spacings, index window, embedding base point."""
+    """Lattice geometry: spacings and index window; the site with index k
+    sits at coordinate spacing * k on each axis."""
 
     spacings: tuple
     window: Window
-    base_point: tuple = None
 
     def __post_init__(self):
-        bp = self.base_point
         try:
-            sp = tuple(float(s) for s in self.spacings)
+            sp = tuple(real_number(s, "spacings") for s in self.spacings)
             win = tuple(
                 (operator.index(lo), operator.index(hi)) for lo, hi in self.window
             )
-            bp = (0.0,) * len(sp) if bp is None else tuple(float(x) for x in bp)
         except (TypeError, ValueError) as exc:
             raise ValidationError(
-                f"spacings and base point must be real, window bounds integer: {exc}"
+                f"spacings must be real, window bounds integer: {exc}"
             ) from None
         if not all(0 < s < math.inf for s in sp):
             raise ValidationError("spacings must be positive and finite")
@@ -65,13 +63,8 @@ class LatticeSpec:
             raise ValidationError("window and spacings dimensions differ")
         if any(lo >= hi for lo, hi in win):
             raise ValidationError("window must be nonempty on every axis")
-        if len(bp) != len(sp):
-            raise ValidationError("base point dimension mismatch")
-        if not all(math.isfinite(x) for x in bp):
-            raise ValidationError("base point must be finite")
         object.__setattr__(self, "spacings", sp)
         object.__setattr__(self, "window", win)
-        object.__setattr__(self, "base_point", bp)
 
     @property
     def n(self) -> int:
@@ -82,14 +75,7 @@ class LatticeSpec:
         return tuple(hi - lo for lo, hi in self.window)
 
     def with_window(self, window: Window) -> "LatticeSpec":
-        return LatticeSpec(self.spacings, window, self.base_point)
-
-    def coordinate(self, axis: int, index: int) -> float:
-        return self.base_point[axis] + self.spacings[axis] * index
-
-
-def line_spec(spacing: float, lo: int, hi: int, x0: float = 0.0) -> LatticeSpec:
-    return LatticeSpec((spacing,), ((lo, hi),), (x0,))
+        return LatticeSpec(self.spacings, window)
 
 
 class LatticeField:
@@ -112,18 +98,6 @@ class LatticeField:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_function(cls, spec: LatticeSpec, fn) -> "LatticeField":
-        """Sample fn at the embedded coordinates of every window index."""
-        vals = np.empty(spec.shape, dtype=float)
-        starts = [lo for lo, _ in spec.window]
-        for idx in np.ndindex(*spec.shape):
-            coords = [
-                spec.coordinate(ax, starts[ax] + idx[ax]) for ax in range(spec.n)
-            ]
-            vals[idx] = fn(*coords)
-        return cls(spec, vals)
-
-    @classmethod
     def constant(cls, spec: LatticeSpec, value) -> "LatticeField":
         value = np.asarray(value)
         vals = np.broadcast_to(value, spec.shape + value.shape).copy()
@@ -136,7 +110,7 @@ class LatticeField:
     @classmethod
     def coordinate(cls, spec: LatticeSpec, axis: int) -> "LatticeField":
         lo, hi = spec.window[axis]
-        line = spec.base_point[axis] + spec.spacings[axis] * np.arange(lo, hi)
+        line = spec.spacings[axis] * np.arange(lo, hi)
         shape = [1] * spec.n
         shape[axis] = hi - lo
         vals = np.broadcast_to(line.reshape(shape), spec.shape).copy()
@@ -205,9 +179,6 @@ class LatticeField:
     def __add__(self, other):
         return self._binary(other, np.add, matmul=False)
 
-    def __radd__(self, other):
-        return self._binary(other, np.add, matmul=False)
-
     def __sub__(self, other):
         return self._binary(other, np.subtract, matmul=False)
 
@@ -219,9 +190,6 @@ class LatticeField:
 
     def __truediv__(self, scalar):
         return LatticeField(self.spec, self.values / scalar)
-
-    def __neg__(self):
-        return LatticeField(self.spec, -self.values)
 
     def inverse(self) -> "LatticeField":
         """Pointwise inverse; matrix fields invert sitewise."""
@@ -273,11 +241,6 @@ class LatticeOneForm:
     def spec(self) -> LatticeSpec:
         return self.components[0].spec
 
-    def __add__(self, other):
-        return LatticeOneForm(
-            tuple(a + b for a, b in zip(self.components, other.components))
-        )
-
     def __sub__(self, other):
         return LatticeOneForm(
             tuple(a - b for a, b in zip(self.components, other.components))
@@ -293,11 +256,6 @@ class LatticeOneForm:
 def forward_derivative(f: LatticeField, axis: int) -> LatticeField:
     """Right discrete derivative (f(x + l_mu) - f(x)) / l_mu."""
     return (f.shift(axis, 1) - f) / f.spec.spacings[axis]
-
-
-def backward_derivative(f: LatticeField, axis: int) -> LatticeField:
-    """Left discrete derivative (f(x) - f(x - l_mu)) / l_mu."""
-    return (f - f.shift(axis, -1)) / f.spec.spacings[axis]
 
 
 def exterior_derivative(f: LatticeField) -> LatticeOneForm:

@@ -26,15 +26,11 @@ class AdjacencyMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.entries):
-            raise ValidationError("adjacency weights must be real")
-        m = np.asarray(self.entries, dtype=float)
+        m = finite_array(self.entries, "adjacency weights").astype(float, copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("adjacency matrix must be square")
         if np.any(np.diagonal(m) != 0):
             raise ValidationError("adjacency matrix must have zero diagonal")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("adjacency weights must be finite")
         if np.any(m < 0):
             raise ValidationError("adjacency weights must be nonnegative")
         object.__setattr__(self, "entries", m)
@@ -54,10 +50,6 @@ class AdjacencyMatrix:
                 )
             m[i, j] = 1.0 / ell
         return cls(m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)

@@ -323,23 +323,14 @@ class TodaState:
             object.__setattr__(self, name, value)
 
 
-def toda_step_discrete(state: TodaState) -> TodaState:
-    """One step of the discrete-time Toda flow, solving the field equation.
-
-    The update q(n+1) = q(n) - log(rhs) requires the bracket
-
-        rhs = e^{q(n-1)-q(n)} - (l0/l1)^2 [e^{q_left-q} - e^{q-q_right}]
-
-    to stay positive; otherwise the step size l0 is too large for the data.
-    The end sites' outer neighbours are the q = 0 wall ghosts.
-    """
-    q_next = toda_run_discrete(state, 1)[-1]
-    return TodaState(state.q_curr, q_next, state.l0, state.l1)
-
-
 @_overflow_is_numeric
 def toda_run_discrete(state: TodaState, steps: int) -> np.ndarray:
-    """Evolve `steps` times; rows are the slices q(0), q(1), ..., q(steps+1)."""
+    """Evolve `steps` times; rows are the slices q(0), q(1), ..., q(steps+1).
+
+    Each step q(n+1) = q(n) - log(rhs) needs the bracket rhs = e^{q(n-1)-q(n)}
+    - (l0/l1)^2 [e^{q_left-q} - e^{q-q_right}] to stay positive; otherwise l0
+    is too large for the data.  The end sites' outer neighbours are the walls.
+    """
     if integer(steps, "steps") < 0:
         raise ValidationError("steps must be an integer >= 0")
     _check_run_size(steps + 2, state.q_curr.size)
@@ -410,14 +401,6 @@ def _energy(q, p, l1: float, boundary: str) -> np.ndarray:
         bonds = bonds[..., 1:]  # both end bonds are the wrap bond; count it once
     kin = 0.5 * np.sum(np.asarray(p) ** 2, axis=-1)
     return kin + np.sum(bonds, axis=-1) / l1**2
-
-
-def toda_energy(q, p, l1: float, boundary: str = "fixed") -> float:
-    q, p = finite_array(q, "q"), finite_array(p, "p")
-    if q.ndim != 1 or q.shape != p.shape:
-        raise ValidationError("q and p must be equal-length 1-D arrays")
-    _check_l1(l1)
-    return float(_energy(q, p, l1, boundary))
 
 
 @dataclass

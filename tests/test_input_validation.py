@@ -15,6 +15,7 @@ from ncgeom.finite_calculus import (
     Digraph,
     FiniteSet,
     FormExpr,
+    build_universal,
     calculus_for,
     function_differential,
     multiply,
@@ -28,7 +29,6 @@ from ncgeom.sigma_toda import (
     discrete_continuum_orders,
     exp_field_from_slices,
     maurer_cartan,
-    toda_energy,
     toda_force,
     toda_integrate,
     toda_run_discrete,
@@ -60,7 +60,7 @@ VALUES = st.one_of(
 ENTRY_POINTS = {
     "LatticeSpec spacing": lambda v: LatticeSpec((v, 1.0), ((0, 3), (0, 3))),
     "LatticeSpec bound": lambda v: LatticeSpec((1.0, 1.0), ((0, 3), (v, 3))),
-    "LatticeSpec base point": lambda v: LatticeSpec((1.0,), ((0, 3),), (v,)),
+    "build_universal size": lambda v: build_universal(v, degree_cap=2),
     "DistanceProblem index": lambda v: DistanceProblem(TWO_POINT, v, 1),
     "DistanceProblem operator": lambda v: DistanceProblem(two_point(v), 0, 1),
     "commutator_norm": lambda v: commutator_norm(TWO_POINT, np.array([0, v])),
@@ -72,7 +72,6 @@ ENTRY_POINTS = {
     "TodaState q": lambda v: TodaState(BUMP, np.array([0, 0, 0, v]), 0.5, 1.0),
     "toda_run_discrete": lambda v: toda_run_discrete(STATE, v),
     "toda_force": lambda v: toda_force(BUMP, v),
-    "toda_energy": lambda v: toda_energy(BUMP, BUMP, v),
     "current_ladder m_max": lambda v: current_ladder(
         LatticeField.constant(PLANE, 1.0), m_max=v
     ),
@@ -99,10 +98,15 @@ REJECTED = {
     "inf operator": lambda: distance(DistanceProblem(two_point(np.inf), 0, 1)),
     "string operator": lambda: DistanceProblem(two_point("1"), 0, 1),
     "nan function": lambda: commutator_norm(TWO_POINT, [0.0, np.nan]),
-    "nan base point": lambda: LatticeSpec((1.0,), ((0, 3),), (math.nan,)),
-    "inf base point": lambda: LatticeSpec((1.0,), ((0, 3),), (-math.inf,)),
-    "string base point": lambda: LatticeSpec((1.0,), ((0, 3),), ("x",)),
     "bool window bound": lambda: LatticeSpec((1.0,), ((False, 3),)),
+    "string spacing": lambda: LatticeSpec(("0.5",), ((0, 3),)),
+    "bool spacing": lambda: LatticeSpec((True,), ((0, 3),)),
+    "string weights": lambda: AdjacencyMatrix(np.array([["0", "1"], ["1", "0"]])),
+    "bool weights": lambda: AdjacencyMatrix(np.array([[False, True], [True, False]])),
+    "fractional point count": lambda: build_universal(2.5),
+    "string point count": lambda: build_universal("3"),
+    "bool point count": lambda: build_universal(True),
+    "fractional digraph size": lambda: Digraph.from_arrows(2.5, []),
     "1-D maurer_cartan": lambda: maurer_cartan(LINE_FIELD),
     "1-D current_ladder": lambda: current_ladder(LINE_FIELD),
     "1-D slices": lambda: exp_field_from_slices(BUMP, 0.5, 1.0),
@@ -140,7 +144,6 @@ UNREACHED = {
         [1, 2], calculus_for(Digraph.from_arrows(3, [(0, 1)]))
     ),
     "window dimension": lambda: LatticeSpec((1.0, 1.0), ((0, 3),)),
-    "base point dimension": lambda: LatticeSpec((1.0,), ((0, 3),), (0.0, 0.0)),
     "field shape": lambda: LatticeField(LINE, np.zeros(3)),
     "non-square field values": lambda: LatticeField(LINE, np.zeros((4, 2, 3))),
     "index outside window": lambda: LINE_FIELD[4],
@@ -165,4 +168,4 @@ def test_products_past_the_top_degree_vanish():
     calc = calculus_for(Digraph.from_arrows(3, [(0, 1), (1, 2), (2, 0)]))
     assert calc.dimensions() == [3, 3, 0]
     product = multiply(FormExpr.from_path((0, 1)), FormExpr.from_path((1, 2, 0)), calc)
-    assert product == FormExpr.zero()
+    assert product == FormExpr()

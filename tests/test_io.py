@@ -1,4 +1,4 @@
-"""Tests for graph loading, canonical JSON and FormExpr serialization."""
+"""Tests for graph loading and canonical JSON."""
 
 import json
 import math
@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgeom.errors import ValidationError
-from ncgeom.finite_calculus import FormExpr
-from ncgeom.io import (
-    dumps_canonical,
-    form_expr_from_json,
-    form_expr_to_json,
-    load_digraph,
-)
+from ncgeom.io import dumps_canonical, load_digraph
 
 
 def write(tmp_path, text, name="graph.txt"):
@@ -231,26 +225,3 @@ def test_dumps_canonical_parses_back_exactly(value):
     assert json.loads(text) == value
     assert dumps_canonical(json.loads(text)) == text
 
-
-# -- FormExpr serialization ----------------------------------------------
-
-
-def test_form_expr_json_round_trip():
-    expr = FormExpr({(0, 1, 2): 2, (0, 3, 2): -0.5, (1,): 1 + 2j, (2, 0): 3.25})
-    records = form_expr_to_json(expr)
-    assert [r["path"] for r in records] == [[1], [2, 0], [0, 1, 2], [0, 3, 2]]
-    assert records[0] == {"path": [1], "re": 1.0, "im": 2.0}
-    back = form_expr_from_json(json.loads(dumps_canonical(records)))
-    assert back == expr
-    assert type(back.coefficient((0, 1, 2))) is float
-    assert back.coefficient((1,)) == 1 + 2j
-
-
-def test_form_expr_from_json_sums_repeated_paths_and_drops_zeros():
-    records = [
-        {"path": [0, 1], "re": 1.5},
-        {"path": [0, 1], "re": -1.5},
-        {"path": [1, 0], "im": 2.0},
-    ]
-    assert form_expr_from_json(records) == FormExpr({(1, 0): 2j})
-    assert form_expr_to_json(FormExpr.zero()) == []

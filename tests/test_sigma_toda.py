@@ -24,11 +24,9 @@ from ncgeom.sigma_toda import (
     one_form_product,
     potential,
     star,
-    toda_energy,
     toda_force,
     toda_integrate,
     toda_run_discrete,
-    toda_step_discrete,
     two_dim_spec,
 )
 
@@ -47,6 +45,11 @@ def gaussian_bump(n_sites, amp=0.3, width=0.5, center=None):
     k = np.arange(n_sites)
     center = (n_sites - 1) / 2 if center is None else center
     return amp * np.exp(-width * (k - center) ** 2)
+
+
+def energy(q, p, l1, boundary="fixed"):
+    """Energy of one chain state: a run of length 0 keeps only the initial row."""
+    return toda_integrate(q, p, 0.0, 1.0, l1=l1, boundary=boundary).energies()[0]
 
 
 def toda_solution_field(n_sites=16, steps=50, l0=0.5, l1=1.0, amp=0.3):
@@ -368,7 +371,7 @@ def test_uniform_state_is_fixed_point():
     # a nonzero uniform value is translation invariant away from the walls:
     # interior exponentials all equal 1, so one step changes nothing there
     uniform = np.full(10, 0.7)
-    nxt = toda_step_discrete(TodaState(uniform, uniform, 0.3, 1.0)).q_curr
+    nxt = toda_run_discrete(TodaState(uniform, uniform, 0.3, 1.0), 1)[-1]
     assert np.max(np.abs(nxt[1:-1] - 0.7)) == 0.0
 
 
@@ -376,7 +379,7 @@ def test_single_site_bump_explicit_step():
     amp, m, n_sites = 0.1, 4, 9
     q = np.zeros(n_sites)
     q[m] = amp
-    nxt = toda_step_discrete(TodaState(q, q, 1.0, 1.0)).q_curr
+    nxt = toda_run_discrete(TodaState(q, q, 1.0, 1.0), 1)[-1]
     expected = np.zeros(n_sites)
     expected[m] = amp - math.log(1.0 - math.exp(-amp) + math.exp(amp))
     expected[m - 1] = amp  # rhs = e^{-amp}, so q_next = -log(e^{-amp})
@@ -388,7 +391,7 @@ def test_positivity_violation_reports_site():
     q = np.zeros(7)
     q[3] = 3.0
     with pytest.raises(NumericError, match="site 4"):
-        toda_step_discrete(TodaState(q, q, 1.0, 1.0))
+        toda_run_discrete(TodaState(q, q, 1.0, 1.0), 1)
     with pytest.raises(NumericError, match="site 4"):
         toda_run_discrete(TodaState(q, q, 1.0, 1.0), 3)
 
@@ -399,7 +402,7 @@ def test_run_rows_are_iterated_steps():
     assert rows.shape == (27, 11)
     assert np.array_equal(rows[0], state.q_prev) and np.array_equal(rows[1], state.q_curr)
     for row in rows[2:]:
-        state = toda_step_discrete(state)
+        state = TodaState(state.q_curr, toda_run_discrete(state, 1)[-1], 0.4, 1.2)
         assert np.array_equal(row, state.q_curr)
 
 
@@ -432,7 +435,7 @@ def test_force_energy_and_orders_validation():
         with pytest.raises(ValidationError, match="l1"):
             toda_force(q, l1)
         with pytest.raises(ValidationError, match="l1"):
-            toda_energy(q, q, l1)
+            energy(q, q, l1)
     with pytest.raises(NumericError, match="vanishes"):
         discrete_continuum_orders(np.zeros(4), np.zeros(4))
 
@@ -444,7 +447,7 @@ def test_overflow_raises_numeric_error():
     with pytest.raises(NumericError, match="non-finite"):
         toda_force(q, 1e-200)  # l1^2 underflows to 0
     with pytest.raises(NumericError, match="non-finite"):
-        toda_energy(q, q, 1e200)  # l1^2 overflows
+        energy(q, q, 1e200)  # l1^2 overflows
     with pytest.raises(NumericError, match="non-finite"):
         toda_integrate(q, np.zeros(5), 1.0, 1e-2, l1=1e-100)
     with pytest.raises(NumericError, match="non-finite"):
@@ -492,8 +495,8 @@ def test_force_is_minus_energy_gradient(boundary):
     for k in range(6):
         step = np.zeros(6)
         step[k] = eps
-        up = toda_energy(q + step, np.zeros(6), l1, boundary)
-        down = toda_energy(q - step, np.zeros(6), l1, boundary)
+        up = energy(q + step, np.zeros(6), l1, boundary)
+        down = energy(q - step, np.zeros(6), l1, boundary)
         grad[k] = (up - down) / (2 * eps)
     assert np.max(np.abs(toda_force(q, l1, boundary) + grad)) < 1e-8
 
@@ -533,7 +536,7 @@ def test_energies_match_per_row_energy(boundary):
     q0 = gaussian_bump(9, amp=0.5)
     p0 = 0.2 * np.sin(np.arange(9))
     traj = toda_integrate(q0, p0, 1.0, 1e-2, l1=0.8, boundary=boundary)
-    per_row = [toda_energy(q, p, 0.8, boundary) for q, p in zip(traj.q, traj.p)]
+    per_row = [energy(q, p, 0.8, boundary) for q, p in zip(traj.q, traj.p)]
     # same terms; only the order of the sums may differ between the two reductions
     np.testing.assert_allclose(traj.energies(), per_row, rtol=8 * np.finfo(float).eps, atol=0)
 
@@ -544,7 +547,7 @@ def test_short_open_chains_have_zero_end_bonds():
     a, b = 0.4, -0.3
     bond = math.exp(a - b) / l1**2
     assert np.array_equal(toda_force([a, b], l1, "open"), [-bond, bond])
-    assert toda_energy([a, b], [0.0, 0.0], l1, "open") == bond
+    assert energy([a, b], [0.0, 0.0], l1, "open") == bond
     # a lone open site moves freely
     traj = toda_integrate([0.7], [0.25], 1.0, 0.1, boundary="open")
     assert np.allclose(traj.q[:, 0], 0.7 + 0.25 * traj.times, rtol=0, atol=1e-14)
@@ -596,10 +599,10 @@ def test_discrete_continuum_convergence_order_one():
         assert order == pytest.approx(1.0, abs=0.2)
 
 
-def test_toda_energy_definition():
+def test_energy_definition():
     q = np.array([0.1, -0.2, 0.3])
     p = np.array([1.0, 0.0, -1.0])
     expected = 0.5 * 2.0 + math.exp(0.1 + 0.2) + math.exp(-0.2 - 0.3)
-    assert toda_energy(q, p, 1.0, "open") == pytest.approx(expected)
+    assert energy(q, p, 1.0, "open") == pytest.approx(expected)
     with pytest.raises(ValidationError, match="equal-length"):
-        toda_energy(q, p[:2], 1.0, "open")
+        energy(q, p[:2], 1.0, "open")
