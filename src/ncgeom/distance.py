@@ -43,7 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, finite_array, integer
+from .errors import (
+    NumericError,
+    ValidationError,
+    finite_array,
+    integer,
+    overflow_is_numeric,
+)
 from .matrix_rep import _commutator, base_matrix, commutator_differential
 
 DEFAULT_TOL = 1e-9  # relative duality gap at which a solve stops
@@ -250,6 +256,7 @@ def _primal_dual_solve(d: np.ndarray, q: int):
     raise NumericError(f"no certificate after {MAX_NEWTON_STEPS} iterations")
 
 
+@overflow_is_numeric
 def distance(prob: DistanceProblem) -> DistanceSolution:
     """Certified Connes distance by the primal-dual method.
 

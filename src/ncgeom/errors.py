@@ -7,6 +7,7 @@ show up at run time: positivity violations in the discrete Toda step,
 non-closed one-forms handed to the potential constructor, singular matrices.
 """
 
+import functools
 import numbers
 
 import numpy as np
@@ -50,3 +51,20 @@ def finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
         kind = "" if "c" in kinds else "real "
         raise ValidationError(f"{what} must be finite {kind}numbers")
     return a
+
+
+def overflow_is_numeric(fn):
+    """Make overflow, division by zero and invalid operations in `fn` raise
+    NumericError instead of warning and returning inf or nan."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise NumericError(
+                f"non-finite arithmetic in {fn.__name__}: {exc}"
+            ) from None
+
+    return checked

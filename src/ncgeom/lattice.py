@@ -193,29 +193,30 @@ class LatticeField:
 
     def inverse(self) -> "LatticeField":
         """Pointwise inverse; matrix fields invert sitewise."""
-        if self.is_matrix:
-            try:
-                vals = np.linalg.inv(self.values)
-            except np.linalg.LinAlgError:
-                raise ValidationError(
-                    f"singular matrix value at {self._first_singular_site()}"
-                ) from None
-        else:
-            if np.any(self.values == 0):
-                bad = np.argwhere(self.values == 0)[0]
-                site = tuple(
-                    int(b) + lo for b, (lo, _) in zip(bad, self.spec.window)
-                )
-                raise ValidationError(f"zero value at lattice site {site}")
-            vals = 1.0 / self.values
-        return LatticeField(self.spec, vals)
+        return LatticeField(self.spec, invert_values(self.values, self.spec.window))
 
-    def _first_singular_site(self):
-        dets = np.linalg.det(self.values)
-        bad = np.argwhere(np.abs(dets) < np.finfo(float).tiny)
-        if len(bad) == 0:
-            return "unknown site"
-        return tuple(int(b) + lo for b, (lo, _) in zip(bad[0], self.spec.window))
+
+def invert_values(values: np.ndarray, window: Window) -> np.ndarray:
+    """Sitewise inverse of the values of a field on `window`: the matrix
+    inverse for matrix values.  ValidationError names the first site whose
+    value is zero or singular."""
+    if values.ndim > len(window):
+        try:
+            return np.linalg.inv(values)
+        except np.linalg.LinAlgError:
+            dets = np.linalg.det(values)
+            bad = np.argwhere(np.abs(dets) < np.finfo(float).tiny)
+            site = _site(bad[0], window) if len(bad) else "unknown site"
+            raise ValidationError(f"singular matrix value at {site}") from None
+    if not values.all():
+        site = _site(np.argwhere(values == 0)[0], window)
+        raise ValidationError(f"zero value at lattice site {site}")
+    return 1.0 / values
+
+
+def _site(offsets, window: Window) -> tuple:
+    """Lattice index of the value at array offsets into a field on `window`."""
+    return tuple(int(b) + lo for b, (lo, _) in zip(offsets, window))
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ class LatticeOneForm:
         win = comps[0].spec.window
         for c in comps[1:]:
             win = intersect_windows(win, c.spec.window)
-        comps = tuple(c.restricted(win) for c in comps)
+        comps = tuple(c if c.spec.window == win else c.restricted(win) for c in comps)
         object.__setattr__(self, "components", comps)
 
     @property
@@ -247,7 +248,8 @@ class LatticeOneForm:
         )
 
     def max_abs(self) -> float:
-        return max(c.max_abs() for c in self.components)
+        # np.max keeps a nan of any component; the builtin max drops a later one
+        return float(np.max([c.max_abs() for c in self.components]))
 
 
 # -- derivatives -----------------------------------------------------------

@@ -13,6 +13,20 @@ current J into a closed one-form w, whose curl dw is d star J shifted one site
 on each axis over -c0*c1, and the path-sum potential integrates w.  The
 current ladder therefore reads the closedness of w off the conservation
 residual of J that it records anyway.
+
+The ladder works on value arrays, each with the lattice index of its first
+site: every current and chi of a ladder starts at the source's first site,
+and each step keeps only the window its result is defined on.  So a level
+is a few numpy expressions over that window, written into the arrays it
+returns or into two scratch buffers of the call, and lattice objects are
+built only for what `ChiLadder` returns.  `maurer_cartan`, `field_residual`,
+`potential`, `invert_star_d` and `covariant_derivative` call the same
+kernel.  Each kernel step does the arithmetic of the LatticeField
+primitives (`forward_derivative`, `shift`, `*`, `inverse`, `star`,
+`d_one_form`, `one_form_product`) in the same order, and the tests hold
+the ladder to a reference built from those primitives, byte for byte; a
+window too small for a step raises their ValidationError.
+
 The discrete Toda flow advances the newest time slice in closed form, one
 logarithm per site, and satisfies the sigma-model field equation d star A = 0
 exactly by construction.
@@ -25,19 +39,27 @@ boundary come out of one array expression.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, finite_array, integer, real_number
+from .errors import (
+    NumericError,
+    ValidationError,
+    finite_array,
+    integer,
+    overflow_is_numeric,
+    real_number,
+)
 from .lattice import (
     LatticeField,
     LatticeOneForm,
     LatticeSpec,
-    exterior_derivative,
+    Window,
     forward_derivative,
+    intersect_windows,
+    invert_values,
 )
 
 TIME, SPACE = 0, 1
@@ -109,32 +131,188 @@ class GaugeField:
     flatness_residual: float
 
 
-def maurer_cartan(a: LatticeField) -> GaugeField:
-    """A = a^-1 da with the flatness check dA + AA = 0."""
-    if a.spec.n != 2:
-        raise ValidationError("the source must be a field on the 2-D lattice")
-    ainv = a.inverse()
-    comps = tuple(ainv * forward_derivative(a, mu) for mu in (TIME, SPACE))
-    one_form = LatticeOneForm(comps)
-    flat = (d_one_form(one_form) + one_form_product(one_form, one_form)).max_abs()
-    if flat > FLATNESS_TOL:
-        raise NumericError(f"flatness residual {flat:.3e} exceeds {FLATNESS_TOL:.1e}")
-    return GaugeField(one_form=one_form, flatness_residual=flat)
+# -- the ladder kernel: value arrays and the lattice index of their first site
 
 
-def field_residual(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
-    """Coefficient of dt dx in d star w; zero iff the field equation holds."""
-    return d_one_form(star(w, h))
+def _start(spec: LatticeSpec) -> tuple:
+    return tuple(lo for lo, _ in spec.window)
 
 
-def _edge_sums(a: np.ndarray, axis: int) -> np.ndarray:
-    """0, a_0, a_0 + a_1, ... along `axis`: the edge sums up to each site."""
+def _window(start, shape) -> Window:
+    return tuple((s, s + n) for s, n in zip(start, shape))
+
+
+def _field(spec: LatticeSpec, start, values) -> LatticeField:
+    return LatticeField(spec.with_window(_window(start, values.shape)), values)
+
+
+def _one_form(spec: LatticeSpec, start, w0, w1) -> LatticeOneForm:
+    spec = spec.with_window(_window(start, w0.shape))
+    return LatticeOneForm((LatticeField(spec, w0), LatticeField(spec, w1)))
+
+
+def _floats(values: np.ndarray) -> np.ndarray:
+    """Integer values as floats, the type of their differences, which the
+    kernel divides in place; other values as they are."""
+    return values.astype(np.result_type(values, 1.0), copy=False)
+
+
+def _on(values, start, window: Window):
+    """View of the values, whose first site is `start`, on a window inside theirs."""
+    return values[tuple(slice(lo - s, hi - s) for (lo, hi), s in zip(window, start))]
+
+
+def _cut(buffer, like):
+    """The corner of a scratch buffer shaped like `like`, or None for a new array."""
+    return None if buffer is None else buffer[: like.shape[0], : like.shape[1]]
+
+
+def _check_overlap(start, shape, move_a, move_b) -> None:
+    """Raise the lattice's ValidationError when the window of the values,
+    moved by move_a and by move_b sites on (t, x), has an empty intersection:
+    a forward difference along t intersects moves (-1, 0) and (0, 0)."""
+    if min(shape[:2]) < 2:
+        a, b = (
+            _window([s + m for s, m in zip(start, move)], shape[:2])
+            for move in (move_a, move_b)
+        )
+        intersect_windows(a, b)
+
+
+def _scaled(op, v, c):
+    """op(v, c) for op multiply or divide; by c = 1.0 both are exact, so
+    that is v itself, without a pass."""
+    return v if c == 1.0 else op(v, c)
+
+
+def _product(p, q, out=None):
+    """Sitewise product, the matrix product for matrix values."""
+    return np.matmul(p, q, out=out) if p.ndim > 2 else np.multiply(p, q, out=out)
+
+
+def _max_abs(v) -> float:
+    """max|v|, 0 for no values; overwrites v, which must be scratch."""
+    return float(np.abs(v, out=v).max(initial=0.0))
+
+
+def _d(v, start, l0, l1):
+    """(d_0 v, d_1 v): forward differences on the window of v less its last
+    row and column, which starts where v does."""
+    _check_overlap(start, v.shape, (-1, 0), (0, 0))
+    _check_overlap(start, v.shape, (0, -1), (0, 0))
+    d0 = np.subtract(v[1:, :-1], v[:-1, :-1])
+    d0 /= l0
+    d1 = np.subtract(v[:-1, 1:], v[:-1, :-1])
+    d1 /= l1
+    return d0, d1
+
+
+def _curl(w0, w1, start, l0, l1, out=None, tmp=None):
+    """Coefficient of dt dx in dw, on the window of w less its last row and
+    column; `out` and `tmp` are scratch at least that large."""
+    _check_overlap(start, w1.shape, (-1, 0), (0, 0))
+    _check_overlap(start, w0.shape, (0, -1), (0, 0))
+    c = np.subtract(w1[1:, :-1], w1[:-1, :-1], out=_cut(out, w1[1:, :-1]))
+    c /= l0
+    t = np.subtract(w0[:-1, 1:], w0[:-1, :-1], out=_cut(tmp, c))
+    t /= l1
+    return np.subtract(c, t, out=c)
+
+
+def _d_star(J0, J1, start, l0, l1, h, out=None, tmp=None):
+    """Coefficient of dt dx in d star J; its window starts one site after
+    J's on both axes."""
+    _check_overlap(start, J0.shape, (0, 1), (1, 0))
+    s0 = _scaled(np.multiply, J1[1:, :-1], -h.c1)
+    s1 = _scaled(np.multiply, J0[:-1, 1:], h.c0)
+    return _curl(s0, s1, (start[0] + 1, start[1] + 1), l0, l1, out, tmp)
+
+
+def _inverse_star(J0, J1, start, h):
+    """(w0, w1) with star w = J shifted one site on each axis: the d chi of
+    `invert_star_d`, on J's window less its last row and column."""
+    _check_overlap(start, J0.shape, (-1, 0), (0, -1))
+    return _scaled(np.divide, J1[1:, :-1], h.c0), _scaled(np.divide, J0[:-1, 1:], -h.c1)
+
+
+def _edge_sums(a: np.ndarray) -> np.ndarray:
+    """0, a_0, a_0 + a_1, ... along axis 0: the edge sums up to each site."""
     out = np.zeros_like(a)
-    head = (slice(None),) * axis
-    out[head + (slice(1, None),)] = np.cumsum(a[head + (slice(-1),)], axis=axis)
+    out[1:] = np.cumsum(a[:-1], axis=0)
     return out
 
 
+def _potential(w0, w1, start, l0, l1, tmp=None):
+    """chi = the edge sums of w from the window corner, first in time, then
+    in space, on w's window, and (d_0 chi, d_1 chi) from `_d`.  NumericError
+    unless max|d chi - w| <= CLOSEDNESS_TOL."""
+    chi = np.empty(w1.shape, w1.dtype)
+    chi[:, 0] = 0.0
+    np.cumsum(w1[:, :-1], axis=1, out=chi[:, 1:])
+    chi *= l1
+    chi += l0 * _edge_sums(w0[:, 0])[:, None]
+    d0, d1 = _d(chi, start, l0, l1)
+    miss = np.maximum(
+        _max_abs(np.subtract(d0, w0[:-1, :-1], out=_cut(tmp, d0))),
+        _max_abs(np.subtract(d1, w1[:-1, :-1], out=_cut(tmp, d1))),
+    )
+    if not miss <= CLOSEDNESS_TOL:
+        raise NumericError(f"one-form is not closed; residual {miss:.3e}")
+    return chi, d0, d1
+
+
+def _covariant(chi, d0, d1, A0, A1, tmp=None):
+    """D chi = d chi + A chi, chi commuted past the differentials, written
+    over (d0, d1); A starts where chi does and covers d chi's window."""
+    n, m = d0.shape[:2]
+    d0 += _product(A0[:n, :m], chi[1:, :-1], out=_cut(tmp, d0))
+    d1 += _product(A1[:n, :m], chi[:-1, 1:], out=_cut(tmp, d1))
+    return d0, d1
+
+
+def _connection(a: LatticeField):
+    """(A0, A1) = a^-1 da on a's window less its last row and column, and
+    the flatness residual max|dA + AA|."""
+    if a.spec.n != 2:
+        raise ValidationError("the source must be a field on the 2-D lattice")
+    v = _floats(finite_array(a.values, "the source"))
+    start, (l0, l1) = _start(a.spec), a.spec.spacings
+    ainv = invert_values(v, a.spec.window)[:-1, :-1]
+    A0, A1 = (
+        _product(ainv, d, out=None if d.ndim > 2 else d) for d in _d(v, start, l0, l1)
+    )
+    flat = _curl(A0, A1, start, l0, l1)
+    aa = _product(A0[:-1, :-1], A1[1:, :-1])
+    aa -= _product(A1[:-1, :-1], A0[:-1, 1:])
+    flat += aa
+    return A0, A1, _max_abs(flat)
+
+
+# -- the public steps, each one call into the kernel
+
+
+@overflow_is_numeric
+def maurer_cartan(a: LatticeField) -> GaugeField:
+    """A = a^-1 da with the flatness check dA + AA = 0."""
+    A0, A1, flat = _connection(a)
+    if not flat <= FLATNESS_TOL:
+        raise NumericError(f"flatness residual {flat:.3e} exceeds {FLATNESS_TOL:.1e}")
+    return GaugeField(_one_form(a.spec, _start(a.spec), A0, A1), flat)
+
+
+def _arrays(w: LatticeOneForm):
+    w0, w1 = (_floats(c.values) for c in w.components)
+    return w0, w1, _start(w.spec), w.spec.spacings
+
+
+@overflow_is_numeric
+def field_residual(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
+    """Coefficient of dt dx in d star w; zero iff the field equation holds."""
+    w0, w1, (t, x), (l0, l1) = _arrays(w)
+    return _field(w.spec, (t + 1, x + 1), _d_star(w0, w1, (t, x), l0, l1, h))
+
+
+@overflow_is_numeric
 def potential(w: LatticeOneForm) -> LatticeField:
     """Certified primitive chi of a closed one-form on a full rectangular window.
 
@@ -144,17 +322,11 @@ def potential(w: LatticeOneForm) -> LatticeField:
     NumericError unless max|d(chi) - w| <= CLOSEDNESS_TOL, which also catches
     a curl too small to see pointwise that adds up along the paths.
     """
-    l0, l1 = w.spec.spacings
-    w0 = w.components[0].values
-    w1 = w.components[1].values
-    vals = l0 * _edge_sums(w0[:, 0], 0)[:, None] + l1 * _edge_sums(w1, 1)
-    chi = LatticeField(w.spec, vals)
-    miss = (exterior_derivative(chi) - w).max_abs()
-    if miss > CLOSEDNESS_TOL:
-        raise NumericError(f"one-form is not closed; residual {miss:.3e}")
-    return chi
+    w0, w1, start, (l0, l1) = _arrays(w)
+    return LatticeField(w.spec, _potential(w0, w1, start, l0, l1)[0])
 
 
+@overflow_is_numeric
 def invert_star_d(J: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
     """Solve star d(chi) = J for a conserved current J (d star J = 0).
 
@@ -162,19 +334,23 @@ def invert_star_d(J: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField
     directly; it is closed because d star J = 0, and `potential` integrates
     it to chi, certifying d chi against it.
     """
-    J0, J1 = J.components
-    dchi = LatticeOneForm((J1.shift(TIME, 1) / h.c0, J0.shift(SPACE, 1) / -h.c1))
-    return potential(dchi)
+    J0, J1, start, (l0, l1) = _arrays(J)
+    w0, w1 = _inverse_star(J0, J1, start, h)
+    return _field(J.spec, start, _potential(w0, w1, start, l0, l1)[0])
 
 
+@overflow_is_numeric
 def covariant_derivative(chi: LatticeField, A: LatticeOneForm) -> LatticeOneForm:
     """D chi = d chi + A chi, with chi commuted past the differentials."""
-    comps = []
-    for mu in (TIME, SPACE):
-        comps.append(
-            forward_derivative(chi, mu) + A.components[mu] * chi.shift(mu, 1)
-        )
-    return LatticeOneForm(tuple(comps))
+    start, (l0, l1) = _start(chi.spec), chi.spec.spacings
+    chi_values = _floats(chi.values)
+    d0, d1 = _d(chi_values, start, l0, l1)
+    win = intersect_windows(_window(start, d0.shape), A.spec.window)
+    (t, t_end), (x, x_end) = win
+    A0, A1 = (_on(_floats(c.values), _start(A.spec), win) for c in A.components)
+    chi_cut = _on(chi_values, start, ((t, t_end + 1), (x, x_end + 1)))
+    D0, D1 = _covariant(chi_cut, _on(d0, start, win), _on(d1, start, win), A0, A1)
+    return _one_form(chi.spec, (t, x), D0, D1)
 
 
 @dataclass
@@ -192,6 +368,7 @@ class ChiLadder:
         return len(self.currents)
 
 
+@overflow_is_numeric
 def current_ladder(
     a: LatticeField,
     h: HodgeStar = HodgeStar(),
@@ -203,33 +380,39 @@ def current_ladder(
     equation's.  A current is inverted only when its residual is under
     CLOSEDNESS_TOL |c0 c1|.  Each level consumes window layers; if the window
     runs out before m_max the ladder returns its complete levels with a note.
+    Every current and chi starts at the source's first site, so the kernel
+    works on their value arrays and two scratch buffers of this call.
     """
     if integer(m_max, "m_max") < 1:
         raise ValidationError("m_max must be at least 1")
     A = maurer_cartan(a).one_form
-    resid = field_residual(A, h).max_abs()
-    if resid > FIELD_EQ_TOL:
+    J0, J1 = A0, A1 = A.components[0].values, A.components[1].values
+    start, (l0, l1) = _start(a.spec), a.spec.spacings
+    out, tmp = np.empty_like(A0), np.empty_like(A0)
+    resid = _max_abs(_d_star(A0, A1, start, l0, l1, h, out, tmp))
+    if not resid <= FIELD_EQ_TOL:
         raise NumericError(
             f"field equation residual {resid:.3e} exceeds {FIELD_EQ_TOL:.1e}; "
             "the source does not solve the sigma-model"
         )
-    current = A
-    ladder = ChiLadder([LatticeField.identity(a.spec, a.matrix_dim)], [A], [resid])
+    ladder = ChiLadder([], [A], [resid])
     for m in range(2, m_max + 1):
-        if resid > CLOSEDNESS_TOL * abs(h.c0 * h.c1):
+        if not resid <= CLOSEDNESS_TOL * abs(h.c0 * h.c1):
             raise NumericError(f"J^({m - 1}) is not conserved; residual {resid:.3e}")
         try:
-            chi = invert_star_d(current, h)
-            current = covariant_derivative(chi, A)
-            resid = field_residual(current, h).max_abs()
+            w0, w1 = _inverse_star(J0, J1, start, h)
+            chi, J0, J1 = _potential(w0, w1, start, l0, l1, tmp)
+            J0, J1 = _covariant(chi, J0, J1, A0, A1, tmp)
+            resid = _max_abs(_d_star(J0, J1, start, l0, l1, h, out, tmp))
         except ValidationError as exc:
             ladder.note = f"window exhausted at level {m}: {exc}"
-            return ladder
-        ladder.chis.append(chi)
-        ladder.currents.append(current)
+            break
+        ladder.chis.append(_field(a.spec, start, chi))
+        ladder.currents.append(_one_form(a.spec, start, J0, J1))
         ladder.residuals.append(resid)
+    del out, tmp  # freed before the identity, the largest array, is made
+    ladder.chis.insert(0, LatticeField.identity(a.spec, a.matrix_dim))
     return ladder
-
 
 # -- Toda chains: ghost-padded bonds ------------------------------------------
 
@@ -261,23 +444,6 @@ def _padded(q, boundary: str) -> np.ndarray:
     qe[..., 1:-1] = q
     _set_ghosts(qe, boundary)
     return qe
-
-
-def _overflow_is_numeric(fn):
-    """Make overflow, division by zero and invalid operations in `fn` raise
-    NumericError instead of warning and returning inf or nan."""
-
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return fn(*args, **kwargs)
-        except (FloatingPointError, OverflowError) as exc:
-            raise NumericError(
-                f"non-finite arithmetic in {fn.__name__}: {exc}"
-            ) from None
-
-    return checked
 
 
 def _check_run_size(rows: float, sites: int) -> None:
@@ -323,7 +489,7 @@ class TodaState:
             object.__setattr__(self, name, value)
 
 
-@_overflow_is_numeric
+@overflow_is_numeric
 def toda_run_discrete(state: TodaState, steps: int) -> np.ndarray:
     """Evolve `steps` times; rows are the slices q(0), q(1), ..., q(steps+1).
 
@@ -353,7 +519,7 @@ def toda_run_discrete(state: TodaState, steps: int) -> np.ndarray:
     return rows
 
 
-@_overflow_is_numeric
+@overflow_is_numeric
 def exp_field_from_slices(slices: np.ndarray, l0: float, l1: float) -> LatticeField:
     """The sigma-model source a = e^{-q} on the spacetime window of a run."""
     slices = finite_array(slices, "slices")
@@ -382,7 +548,7 @@ def _check_l1(l1: float) -> None:
         raise ValidationError("spacing l1 must be positive and finite")
 
 
-@_overflow_is_numeric
+@overflow_is_numeric
 def toda_force(q, l1: float, boundary: str = "fixed") -> np.ndarray:
     """Acceleration -(1/l1^2)(e^{q_k - q_{k+1}} - e^{q_{k-1} - q_k}).
 
@@ -393,7 +559,7 @@ def toda_force(q, l1: float, boundary: str = "fixed") -> np.ndarray:
     return -(bonds[..., 1:] - bonds[..., :-1]) / l1**2
 
 
-@_overflow_is_numeric
+@overflow_is_numeric
 def _energy(q, p, l1: float, boundary: str) -> np.ndarray:
     """Energy of a chain, or of each row of a stack of chains."""
     bonds = _bonds(_padded(q, boundary))
@@ -418,7 +584,7 @@ class TodaTrajectory:
         return self.p.sum(axis=1)
 
 
-@_overflow_is_numeric
+@overflow_is_numeric
 def toda_integrate(
     q0,
     p0,

@@ -75,6 +75,7 @@ ENTRY_POINTS = {
     "current_ladder m_max": lambda v: current_ladder(
         LatticeField.constant(PLANE, 1.0), m_max=v
     ),
+    "current_ladder source": lambda v: current_ladder(LatticeField.constant(PLANE, v)),
     "discrete_continuum_orders": lambda v: discrete_continuum_orders(
         np.full(4, v), np.zeros(4)
     ),
@@ -111,6 +112,10 @@ REJECTED = {
     "1-D current_ladder": lambda: current_ladder(LINE_FIELD),
     "1-D slices": lambda: exp_field_from_slices(BUMP, 0.5, 1.0),
     "empty ladder": lambda: current_ladder(LatticeField.constant(PLANE, 1.0), m_max=0),
+    "nan source": lambda: current_ladder(LatticeField.constant(PLANE, np.nan)),
+    "inf source": lambda: current_ladder(LatticeField.constant(PLANE, np.inf)),
+    "nan maurer_cartan": lambda: maurer_cartan(LatticeField.constant(PLANE, np.nan)),
+    "-inf maurer_cartan": lambda: maurer_cartan(LatticeField.constant(PLANE, -np.inf)),
     "fractional vertex": lambda: calculus_for(Digraph.from_arrows(3, [(0, 1.5)])),
     "fractional cap": lambda: calculus_for(Digraph.from_arrows(2, [(0, 1)]), 2.5),
     "string spacing l0": lambda: TodaState(BUMP, BUMP, "0.5", 1.0),
@@ -126,6 +131,21 @@ REJECTED = {
 def test_bad_inputs_raise_validation_error(name):
     with pytest.raises(ValidationError):
         REJECTED[name]()
+
+
+# Finite inputs whose arithmetic overflows.  The distance cases are flagged,
+# not solved: their distance, about 1e-300, is a finite double.
+OVERFLOWING = {
+    "1e-320 source": lambda: current_ladder(LatticeField.constant(PLANE, 1e-320)),
+    "1e300 operator": lambda: distance(DistanceProblem(two_point(1e300), 0, 1)),
+    "1e200 operator": lambda: distance(DistanceProblem(two_point(1e200), 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_inputs_raise_numeric_error(name):
+    with pytest.raises(NumericError, match="non-finite"):
+        OVERFLOWING[name]()
 
 
 # Validation branches that no other test reaches.

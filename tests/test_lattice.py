@@ -8,6 +8,7 @@ import pytest
 from ncgeom.errors import ValidationError
 from ncgeom.lattice import (
     LatticeField,
+    LatticeOneForm,
     LatticeSpec,
     StructureTensor,
     check_structure_consistency,
@@ -162,6 +163,15 @@ def test_matrix_field_inverse_reports_site():
     f = LatticeField(spec, vals)
     with pytest.raises(ValidationError, match="6"):
         f.inverse()
+
+
+def test_one_form_max_abs_keeps_nan_of_any_component():
+    spec = LatticeSpec((1.0, 1.0), ((0, 3), (0, 3)))
+    zero = LatticeField.constant(spec, 0.0)
+    nan = LatticeField.constant(spec, np.nan)
+    assert math.isnan(LatticeOneForm((zero, nan)).max_abs())
+    assert math.isnan(LatticeOneForm((nan, zero)).max_abs())
+    assert LatticeOneForm((zero, 2.0 * zero - 3.0)).max_abs() == 3.0
 
 
 def test_window_validation():

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from ncgeom.errors import NumericError, ValidationError
-from ncgeom.lattice import LatticeField, LatticeOneForm, exterior_derivative
+from ncgeom.lattice import (
+    LatticeField,
+    LatticeOneForm,
+    exterior_derivative,
+    forward_derivative,
+)
 from ncgeom.sigma_toda import (
     BOUNDARIES,
     CLOSEDNESS_TOL,
+    FLATNESS_TOL,
     ChiLadder,
     HodgeStar,
     TodaState,
@@ -244,6 +250,16 @@ def test_potential_rejects_a_small_curl_that_adds_up():
         potential(w)
 
 
+def test_potential_certificate_fails_on_nan():
+    # d chi - w is nan in the space component only; max(0.0, nan) is 0.0
+    spec = two_dim_spec(1.0, 1.0, (0, 6), (0, 6))
+    w1 = np.zeros((6, 6))
+    w1[2, 3] = np.nan
+    w = LatticeOneForm((LatticeField.constant(spec, 0.0), LatticeField(spec, w1)))
+    with pytest.raises(NumericError, match="not closed"):
+        potential(w)
+
+
 # -- invert_star_d ---------------------------------------------------------
 
 
@@ -359,6 +375,86 @@ def test_covariant_derivative_of_identity_is_connection():
     chi0 = LatticeField.identity(a.spec)
     d = covariant_derivative(chi0, A)
     assert (d - A).max_abs() == 0.0
+
+
+def reference_ladder(a, h=HodgeStar(), m_max=3):
+    """The ladder built from the LatticeField primitives, one lattice object
+    per operation; `current_ladder` must reproduce it byte for byte."""
+    l0, l1 = a.spec.spacings
+    ainv = a.inverse()
+    A = LatticeOneForm(tuple(ainv * forward_derivative(a, mu) for mu in (0, 1)))
+    assert (d_one_form(A) + one_form_product(A, A)).max_abs() <= FLATNESS_TOL
+    chis = [LatticeField.identity(a.spec, a.matrix_dim)]
+    currents, residuals = [A], [d_one_form(star(A, h)).max_abs()]
+    for m in range(2, m_max + 1):
+        J0, J1 = currents[-1].components
+        try:
+            w = LatticeOneForm((J1.shift(0, 1) / h.c0, J0.shift(1, 1) / -h.c1))
+            w0, w1 = (c.values for c in w.components)
+            t_sums = np.zeros_like(w0[:, 0])
+            t_sums[1:] = np.cumsum(w0[:-1, 0], axis=0)
+            x_sums = np.zeros_like(w1)
+            x_sums[:, 1:] = np.cumsum(w1[:, :-1], axis=1)
+            chi = LatticeField(w.spec, l0 * t_sums[:, None] + l1 * x_sums)
+            J = LatticeOneForm(tuple(
+                forward_derivative(chi, mu) + A.components[mu] * chi.shift(mu, 1)
+                for mu in (0, 1)
+            ))
+            resid = d_one_form(star(J, h)).max_abs()
+        except ValidationError as exc:
+            note = f"window exhausted at level {m}: {exc}"
+            return ChiLadder(chis, currents, residuals, note)
+        chis.append(chi)
+        currents.append(J)
+        residuals.append(resid)
+    return ChiLadder(chis, currents, residuals)
+
+
+def assert_same_bytes(got, want):
+    assert got.spec == want.spec
+    assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+    assert np.array_equal(got.values, want.values)
+    assert got.values.tobytes() == want.values.tobytes()  # signed zeros too
+
+
+def matrix_source():
+    bumps = [gaussian_bump(12, amp=amp) for amp in (0.3, 0.2)]
+    runs = [toda_run_discrete(TodaState(q, q, 0.4, 1.0), 30) for q in bumps]
+    vals = np.zeros(runs[0].shape + (2, 2))
+    vals[..., 0, 0] = np.exp(-runs[0])
+    vals[..., 1, 1] = np.exp(-runs[1])
+    return LatticeField(two_dim_spec(0.4, 1.0, (0, 32), (0, 12)), vals)
+
+
+def offset_source():
+    """A Toda source on t in [3, 53), x in [-5, 11)."""
+    q0 = gaussian_bump(16)
+    run = toda_run_discrete(TodaState(q0, q0, 0.5, 1.0), 48)
+    return LatticeField(two_dim_spec(0.5, 1.0, (3, 53), (-5, 11)), np.exp(-run))
+
+
+@pytest.mark.parametrize(
+    "source, h, m_max",
+    [
+        (lambda: toda_solution_field(n_sites=16, steps=50), HodgeStar(), 3),
+        (matrix_source, HodgeStar(), 2),
+        (lambda: toda_solution_field(n_sites=6, steps=4, amp=0.1), HodgeStar(), 5),
+        (lambda: toda_solution_field(n_sites=16, steps=50), HodgeStar(2.0, -2.0), 3),
+        (offset_source, HodgeStar(), 3),
+    ],
+    ids=["bump16x50", "block_diagonal", "exhausted6x4", "star2", "offset_window"],
+)
+def test_ladder_matches_the_lattice_primitives_byte_for_byte(source, h, m_max):
+    a = source()
+    got, want = current_ladder(a, h, m_max), reference_ladder(a, h, m_max)
+    assert got.note == want.note
+    assert got.residuals == want.residuals
+    assert len(got.chis) == len(want.chis) and len(got.currents) == len(want.currents)
+    for g, w in zip(got.chis, want.chis):
+        assert_same_bytes(g, w)
+    for g, w in zip(got.currents, want.currents):
+        for gc, wc in zip(g.components, w.components):
+            assert_same_bytes(gc, wc)
 
 
 # -- discrete Toda ---------------------------------------------------------
