@@ -29,10 +29,17 @@ the value it returns, f(q) of the floored f, agree to the relative gap
 DEFAULT_TOL, and raises NumericError rather than return an uncertified
 value.  The repair is needed because rounding in the ill-conditioned Schur
 matrix leaves the iterates about 1e-9 off the constraints when the lengths
-span 1e-2 to 1e2.  For the same reason each corrector direction gets one
+span 1e-2 to 1e2.  For the same reason each corrector direction gets a
 refinement pass that solves for the residual dX misses; without it the
-6 x 6 grid corner breaks down.  A brute-force oracle gives independent
-values on small instances.
+6 x 6 grid corner breaks down.  Near the optimum on such graphs the
+rounding errors of H reach its smallest eigenvalues, and that pass can leave
+a miss of 1e-7, which spoils the gap and then the positive definiteness of
+X.  So while the miss can still move tr(X) - f(q) by a tenth of the stop
+tolerance, up to REFINEMENT_PASSES more corrections solve with the Schur
+matrix as dX applies it, built from X dS S^-1 one direction at a time in
+O(n^4) on its own singular vectors, and add only the correction's own part
+to dX and dS, whose rounding is small.  A brute-force oracle gives
+independent values on small instances.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ POLISH_MAX_SWEEPS = 2000
 
 MAX_NEWTON_STEPS = 100  # iteration cap of the primal-dual solver
 RESIDUAL_TOL = 1e-9  # largest accepted |tr(X B_k) + delta_kq| of the certificate X
+REFINEMENT_PASSES = 3  # most corrections through _applied_schur per direction
 
 
 def _real_base(operator) -> np.ndarray:
@@ -171,6 +179,27 @@ def _schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
     return (k[1] * k[0].T).reshape(4, n, 4, n).sum(axis=(0, 2))
 
 
+def _applied_schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray):
+    """The Schur matrix as `_hkm_direction` applies it: (V, G) with
+    G[:, j] = tr(X dS(V[:, j]) S^-1 B_k) over the free k, computed from the
+    product X dS S^-1 that dX is made of, and every column of norm one.
+    V holds the right singular vectors of a first build on unit vectors:
+    there the soft directions (singular values near 1e-2 at the end of a
+    solve) cancel inside columns dominated by stiff ones (near 1e14).  O(n^4).
+    """
+
+    def applied(vectors):
+        return np.array([
+            _lmi_adjoint(d, x @ _lmi(d, np.concatenate(([0.0], v)), identity=0.0) @ s_inv)[1:]
+            for v in vectors
+        ]).T
+
+    basis = np.linalg.svd(applied(np.eye(d.shape[0] - 1)))[2].T
+    g = applied(basis.T)
+    scale = np.linalg.norm(g, axis=0)
+    return basis / scale, g / scale
+
+
 def _hkm_direction(d, x, s_inv, df, r):
     """dS = sum_k df_k B_k over the free k and the HKM step dX = sym(R - X dS S^-1) - X."""
     ds = _lmi(d, np.concatenate(([0.0], df)), identity=0.0)
@@ -248,6 +277,25 @@ def _primal_dual_solve(d: np.ndarray, q: int):
         # refinement: solve once more for the part of r_p that A(dX) misses
         df -= h_inv @ (infeasible - _lmi_adjoint(d, dx)[1:])
         ds, dx = _hkm_direction(d, x, s_inv, df, r)
+        miss = infeasible - _lmi_adjoint(d, dx)[1:]
+        basis = None
+        for _ in range(REFINEMENT_PASSES):
+            # enough once the miss moves tr(X) - f(q) = tr(XS) + f . r_p by
+            # less than a tenth of the stop tolerance
+            if np.abs(f[1:]) @ np.abs(miss) <= 0.1 * DEFAULT_TOL * upper:
+                break
+            try:
+                if basis is None:
+                    basis, applied = _applied_schur(d, x, s_inv)
+                correction = basis @ np.linalg.solve(applied, miss)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError("singular Schur matrix in the refinement") from exc
+            dm = _lmi(d, np.concatenate(([0.0], correction)), identity=0.0)
+            gain = x @ dm @ s_inv
+            df -= correction
+            ds -= dm
+            dx += 0.5 * (gain + gain.T)
+            miss = infeasible - _lmi_adjoint(d, dx)[1:]
         # 90-99% of the way to the boundary, more when the predictor went far
         step = min(1.0, (0.9 + 0.09 * step_a) * _step_to_boundary(chol_inv, dx, ds))
         x += step * dx
