@@ -27,19 +27,20 @@ are traceless, so the repair keeps tr(X); a negative lowest eigenvalue -e of
 the repaired X costs 2n e on the bound.  A solve stops once that bound and
 the value it returns, f(q) of the floored f, agree to the relative gap
 DEFAULT_TOL, and raises NumericError rather than return an uncertified
-value.  The repair is needed because rounding in the ill-conditioned Schur
-matrix leaves the iterates about 1e-9 off the constraints when the lengths
-span 1e-2 to 1e2.  For the same reason each corrector direction gets a
-refinement pass that solves for the residual dX misses; without it the
-6 x 6 grid corner breaks down.  Near the optimum on such graphs the
-rounding errors of H reach its smallest eigenvalues, and that pass can leave
-a miss of 1e-7, which spoils the gap and then the positive definiteness of
-X.  So while the miss can still move tr(X) - f(q) by a tenth of the stop
-tolerance, up to REFINEMENT_PASSES more corrections solve with the Schur
-matrix as dX applies it, built from X dS S^-1 one direction at a time in
-O(n^4) on its own singular vectors, and add only the correction's own part
-to dX and dS, whose rounding is small.  A brute-force oracle gives
-independent values on small instances.
+value, as it does for a floored f whose commutator norm exceeds
+1 + NORM_TOL: its f(q) is then no proven lower bound.  The repair is needed
+because rounding in the ill-conditioned Schur matrix leaves the iterates
+about 1e-9 off the constraints when the lengths span 1e-2 to 1e2.  For the
+same reason each corrector direction gets a refinement pass that solves for
+the residual dX misses; without it the 6 x 6 grid corner breaks down.  Near
+the optimum on such graphs the rounding errors of H reach its smallest
+eigenvalues, and that pass can leave a miss of 1e-7, which spoils the gap
+and then the positive definiteness of X.  So while the miss can still move
+tr(X) - f(q) by a tenth of the stop tolerance, up to REFINEMENT_PASSES more
+corrections solve with the Schur matrix as dX applies it, built from X dS
+S^-1 one direction at a time in O(n^4) on its own singular vectors, and add
+only the correction's own part to dX and dS, whose rounding is small.  A
+brute-force oracle gives independent values on small instances.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ POLISH_MAX_SWEEPS = 2000
 
 MAX_NEWTON_STEPS = 100  # iteration cap of the primal-dual solver
 RESIDUAL_TOL = 1e-9  # largest accepted |tr(X B_k) + delta_kq| of the certificate X
+NORM_TOL = 1e-9  # largest accepted ||[D, f]|| - 1 of a returned optimizer f
 REFINEMENT_PASSES = 3  # most corrections through _applied_schur per direction
 
 
@@ -308,8 +310,9 @@ def _primal_dual_solve(d: np.ndarray, q: int):
 def distance(prob: DistanceProblem) -> DistanceSolution:
     """Certified Connes distance by the primal-dual method.
 
-    Deterministic.  Raises NumericError when the iteration breaks down or
-    does not certify its value within MAX_NEWTON_STEPS iterations.
+    Deterministic.  Raises NumericError when the iteration breaks down,
+    does not certify its value within MAX_NEWTON_STEPS iterations, or ends
+    on an optimizer whose commutator norm exceeds 1 + NORM_TOL.
     """
     start = time.perf_counter()
     d = prob.base
@@ -337,10 +340,14 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
     )
     optimizer = np.zeros(n)
     optimizer[comp] = f
+    norm = commutator_norm(d, optimizer)
+    if norm > 1.0 + NORM_TOL:
+        # the value is then no proven lower bound
+        raise NumericError(f"optimizer has commutator norm 1 + {norm - 1.0:.3g}")
     return DistanceSolution(
         value=float(optimizer[q] - optimizer[p]),
         optimizer=optimizer,
-        constraint_norm=commutator_norm(d, optimizer),
+        constraint_norm=norm,
         upper_bound=upper,
         newton_steps=iterations,
         status="certified",

@@ -4,9 +4,12 @@ The universal calculus on an N point set has one basis form per path with
 distinct consecutive vertices; a path (i1, ..., ir) is the (r-1)-form built
 by concatenating the edge forms along it.  Choosing a digraph deletes some
 edge forms, which restricts the admissible paths and imposes linear
-relations generated by the differentials of the deleted edges.  Relations are
-eliminated exactly, over ints that become `Fraction` only at a pivot other
-than +1 or -1, so dimensions and normal forms carry no floating point error.
+relations generated by the differentials of the deleted edges.  The degree-r
+relations are the degree r-1 ones times an arrow plus the generators whose
+detour ends the path, so each degree is built from the previous degree's
+reduced rows.  Relations are eliminated exactly, over ints that become
+`Fraction` only at a pivot other than +1 or -1, so dimensions and normal
+forms carry no floating point error.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
@@ -212,21 +215,14 @@ def _rref(rows: list[dict]) -> dict:
     return pivots
 
 
-def _group(paths: list[Path], end: int) -> dict[int, list[Path]]:
-    """Paths grouped by their vertex at position `end`, in their order."""
-    out: dict[int, list[Path]] = {}
-    for path in paths:
-        out.setdefault(path[end], []).append(path)
-    return out
-
-
 class ReducedCalculus:
     """A digraph calculus: admissible path bases and quotient relations.
 
-    Bases and relations are computed eagerly degree by degree, stopping at
-    the first degree whose quotient dimension vanishes (`max_degree`) or at
-    `degree_cap`, whichever comes first.  Past the cap the calculus reports
-    itself truncated rather than guessing.
+    Bases and relations are computed eagerly degree by degree, each degree's
+    reduced relation rows from the previous degree's (`_relation_pivots`),
+    stopping at the first degree whose quotient dimension vanishes
+    (`max_degree`) or at `degree_cap`, whichever comes first.  Past the cap
+    the calculus reports itself truncated rather than guessing.
     """
 
     def __init__(self, graph: Digraph, degree_cap: int = DEFAULT_DEGREE_CAP):
@@ -261,7 +257,7 @@ class ReducedCalculus:
             prev = self.basis_by_degree[r - 1]
             cur = [p + (j,) for p in prev for j in out[p[-1]]]
             self.basis_by_degree.append(cur)
-            pivots = self._relation_pivots(r, detours)
+            pivots = self._relation_pivots(r, out, detours)
             self._pivots_by_degree.append(pivots)
             # the relations share the pivot rows: one copy of each, no re-check
             rels = [FormExpr._of(pivots[lead]) for lead in sorted(pivots)]
@@ -271,37 +267,61 @@ class ReducedCalculus:
                 return
         self.truncated = True
 
-    def _relation_pivots(self, r: int, detours: list) -> dict:
-        """Span of the degree-r differential ideal, seen on admissible paths.
+    def _relation_pivots(self, r: int, out: dict, detours: list) -> dict:
+        """Reduced rows of the degree-r differential ideal on admissible paths.
 
-        Every generator a * d(e_ij) * b of the ideal with (i, j) deleted
-        projects onto admissible paths as a sum over the two-arrow detours
-        (i, j, [k, ...]) spliced between an admissible prefix P ending at i
-        and an admissible suffix Q starting at j; all other ideal generators
-        project to zero because their paths traverse the deleted arrow itself.
+        The ideal is generated by d(e_ij) for the deleted arrows (i, j).  A
+        generator P * d(e_ij) * Q projects onto admissible paths as the sum of
+        P + (k,) + Q over the two-arrow detours (i, j, [k, ...]); its other
+        terms traverse a deleted arrow.  If Q is longer than the point (j,),
+        the generator is a degree r-1 generator times the last arrow of Q.
+        So the degree-r span is (i) the degree r-1 span times every arrow,
+        plus (ii) the generators P + (k, j) whose detour ends the path.
 
-        All terms of one generator start at P[0] and end at Q[-1], so the
-        rows fall into independent blocks, one per endpoint pair, whose
-        column sets are disjoint.  Each block is reduced on its own and the
-        pivots are merged.  The merged rows are in reduced row echelon form
-        and span the same space as all rows together, so by uniqueness of
-        that form they equal the pivots of one elimination over every row.
+        (i) is spanned by the degree r-1 pivot rows, each extended by every
+        arrow out of its end vertex.  Appending one arrow is injective on
+        paths and keeps their lexicographic order, so the extended rows have
+        distinct unit leads and contain no other extended row's lead.  Each
+        row of (ii) is therefore reduced against them in one pass over its
+        own paths.  The remainders hold no extended lead; `_rref` eliminates
+        them, and their fresh leads are cleared from the extended rows, each
+        in one pass, since the fresh rows hold no lead but their own.  A
+        fresh lead in an extended row lies past that row's lead, which stays
+        its least path.  All paths of a row share its endpoints, so rows with
+        different endpoints share no column and `_rref` runs on one block
+        of rows per endpoint pair.
+
+        The union is in reduced row echelon form and spans every degree-r
+        generator, so by uniqueness of that form it equals one elimination
+        over all of them.
         """
-        blocks: dict[tuple[int, int], list[dict]] = {}
-        if detours:
-            by_last = [_group(self.basis_by_degree[p], -1) for p in range(r - 1)]
-            by_first = [_group(self.basis_by_degree[q], 0) for q in range(r - 1)]
-            for i, j, mids in detours:
-                for p in range(r - 1):
-                    suffixes = by_first[r - 2 - p].get(j, ())
-                    for P in by_last[p].get(i, ()):
-                        for Q in suffixes:
-                            rows = blocks.setdefault((P[0], Q[-1]), [])
-                            rows.append({P + (k,) + Q: 1 for k in mids})
         start = time.perf_counter()
-        pivots = {}
-        for rows in blocks.values():
-            pivots.update(_rref(rows))
+        pivots: dict[Path, dict] = {}
+        for lead, row in self._pivots_by_degree[r - 1].items():
+            for v in out[lead[-1]]:
+                pivots[lead + (v,)] = {p + (v,): c for p, c in row.items()}
+        fresh_rows: dict[tuple[int, int], list[dict]] = {}
+        if r >= 2 and detours:
+            ends: dict[int, list[Path]] = {}
+            for P in self.basis_by_degree[r - 2]:
+                ends.setdefault(P[-1], []).append(P)
+            for i, j, mids in detours:
+                for P in ends.get(i, ()):
+                    row = {P + (k, j): 1 for k in mids}
+                    for p in list(row):
+                        prow = pivots.get(p)
+                        if prow is not None:
+                            _subtract(row, row.pop(p), prow, p)
+                    if row:
+                        fresh_rows.setdefault((P[0], j), []).append(row)
+        fresh: dict[Path, dict] = {}
+        for rows in fresh_rows.values():
+            fresh.update(_rref(rows))
+        if fresh:
+            for row in pivots.values():
+                for p in [p for p in row if p in fresh]:
+                    _subtract(row, row.pop(p), fresh[p], p)
+            pivots.update(fresh)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "degree %d: %d paths, %d relations, %d endpoint blocks, "
@@ -309,7 +329,7 @@ class ReducedCalculus:
                 r,
                 len(self.basis_by_degree[r]),
                 len(pivots),
-                len(blocks),
+                len({(lead[0], lead[-1]) for lead in pivots}),
                 time.perf_counter() - start,
             )
         return pivots

@@ -548,6 +548,20 @@ def test_lengths_from_1e_2_to_1e2_are_certified(d, p, q):
     assert commutator_norm(d, sol.optimizer) <= 1.0 + 1e-9
 
 
+def test_optimizer_above_unit_norm_raises():
+    # Lengths from 1e-4 to 1e4: the solve closes its gap, but the floored
+    # optimizer has commutator norm 1 + 1.76e-9, so its value is no proven
+    # lower bound and must not be labelled certified
+    d = _symmetric(8, {
+        (0, 1): 1000.0, (1, 3): 3162.277660168379, (1, 4): 0.00031622776601683794,
+        (1, 5): 0.001, (1, 7): 0.31622776601683794, (2, 4): 0.0001,
+        (3, 6): 316.2277660168379, (4, 6): 316.2277660168379,
+        (6, 7): 3162.277660168379,
+    })
+    with pytest.raises(NumericError, match="commutator norm"):
+        distance(DistanceProblem(d, 7, 0))
+
+
 def bidirected(d):
     return d + d.T
 

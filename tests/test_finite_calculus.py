@@ -397,6 +397,42 @@ def test_bidirected_3x3_grid_pivots_equal_dense_reference():
         assert calc._pivots_by_degree[r] == dense_rref(all_relation_rows(calc, r))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(sorted(complete_arrows(n))), max_size=4),
+        st.integers(1, 6),
+    )
+))
+def test_pivots_at_depth_equal_dense_reference(case):
+    # few deleted arrows keep the calculus alive up to the cap, so the top
+    # degrees are built on three or more degrees of extended pivot rows
+    n, deleted, cap = case
+    calc = ReducedCalculus(Digraph.from_arrows(n, complete_arrows(n) - deleted), cap)
+    for r in range(len(calc.basis_by_degree)):
+        assert calc._pivots_by_degree[r] == dense_rref(all_relation_rows(calc, r))
+
+
+@pytest.mark.parametrize(
+    "n, arrows",
+    [
+        (4, FIG1_ARROWS),
+        (3, complete_arrows(3) - {(0, 2)}),
+        (4, complete_arrows(4) - {(0, 2)}),
+        (4, complete_arrows(4) - {(0, 2), (3, 1)}),
+        (4, bigrid_arrows(2, 2)),
+        (4, {(0, 1), (1, 2), (2, 3), (3, 0)}),
+    ],
+    ids=["fig1", "three_minus_one", "four_minus_one", "four_minus_two",
+         "bigrid2x2", "oriented_square"],
+)
+def test_reduced_universal_pivots_equal_dense_reference(n, arrows):
+    calc = reduce(build_universal(n, 6), arrows)
+    for r in range(len(calc.basis_by_degree)):
+        assert calc._pivots_by_degree[r] == dense_rref(all_relation_rows(calc, r))
+
+
 def test_non_unit_pivot_gives_exact_fractions():
     a, b, c = (0, 1, 0), (0, 2, 0), (0, 3, 0)
     rows = [{a: 1, b: 1, c: 1}, {a: 1, b: -1}]  # the second lead becomes -2
