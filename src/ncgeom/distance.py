@@ -358,11 +358,14 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
 
 def distance_matrix(operator) -> np.ndarray:
     """All-pairs symmetric distance matrix with zero diagonal."""
-    n = base_matrix(operator).shape[0]
+    d = _real_base(operator)
+    n = d.shape[0]
+    if n == 0:
+        raise ValidationError("the distance's operator must have at least one point")
     m = np.zeros((n, n))
     for a in range(n):
         for b in range(a + 1, n):
-            m[a, b] = m[b, a] = distance(DistanceProblem(operator, a, b)).value
+            m[a, b] = m[b, a] = distance(DistanceProblem(d, a, b)).value
     return m
 
 

@@ -9,7 +9,8 @@ relations are the degree r-1 ones times an arrow plus the generators whose
 detour ends the path, so each degree is built from the previous degree's
 reduced rows.  Relations are eliminated exactly, over ints that become
 `Fraction` only at a pivot other than +1 or -1, so dimensions and normal
-forms carry no floating point error.
+forms carry no floating point error.  The build counts the admissible paths
+of each degree; a degree's path list is enumerated when it is first read.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
@@ -218,11 +219,14 @@ def _rref(rows: list[dict]) -> dict:
 class ReducedCalculus:
     """A digraph calculus: admissible path bases and quotient relations.
 
-    Bases and relations are computed eagerly degree by degree, each degree's
+    Relations are computed at build time degree by degree, each degree's
     reduced relation rows from the previous degree's (`_relation_pivots`),
     stopping at the first degree whose quotient dimension vanishes
     (`max_degree`) or at `degree_cap`, whichever comes first.  Past the cap
-    the calculus reports itself truncated rather than guessing.
+    the calculus reports itself truncated rather than guessing.  The build
+    only counts each degree's admissible paths; a degree's basis is
+    enumerated, and kept, when `basis`, `basis_by_degree` or the relations
+    of degree r + 2 first read it.
     """
 
     def __init__(self, graph: Digraph, degree_cap: int = DEFAULT_DEGREE_CAP):
@@ -232,7 +236,15 @@ class ReducedCalculus:
         self.degree_cap = degree_cap
         self._arrows = frozenset(graph.arrows)
         self._deleted = complete_arrows(graph.n) - self._arrows
-        self.basis_by_degree: list[list[Path]] = []
+        n = graph.n
+        # out- and in-neighbours of each vertex, in ascending order
+        self._out: list[list[int]] = [[] for _ in range(n)]
+        self._in: list[list[int]] = [[] for _ in range(n)]
+        for i, j in sorted(self._arrows):
+            self._out[i].append(j)
+            self._in[j].append(i)
+        self._path_counts: list[int] = []
+        self._bases: list[list[Path]] = [[(i,) for i in range(n)]]
         self.relations_by_degree: list[list[FormExpr]] = []
         self._pivots_by_degree: list[dict] = []
         self.max_degree: int | None = None
@@ -243,31 +255,47 @@ class ReducedCalculus:
 
     def _build(self):
         n = self.graph.n
-        out = {i: sorted(j for (i2, j) in self._arrows if i2 == i) for i in range(n)}
         # two-arrow detours i -> k -> j around each deleted arrow (i, j)
         detours = []
         for (i, j) in sorted(self._deleted):
-            mids = [k for k in out[i] if (k, j) in self._arrows]
+            mids = [k for k in self._out[i] if (k, j) in self._arrows]
             if mids:
                 detours.append((i, j, mids))
-        self.basis_by_degree.append([(i,) for i in range(n)])
+        ends = [1] * n  # admissible paths of the current degree, per end vertex
+        self._path_counts.append(n)
         self.relations_by_degree.append([])
         self._pivots_by_degree.append({})
         for r in range(1, self.degree_cap + 1):
-            prev = self.basis_by_degree[r - 1]
-            cur = [p + (j,) for p in prev for j in out[p[-1]]]
-            self.basis_by_degree.append(cur)
-            pivots = self._relation_pivots(r, out, detours)
+            pushed = [0] * n
+            for count, targets in zip(ends, self._out):
+                for j in targets:
+                    pushed[j] += count
+            ends = pushed
+            self._path_counts.append(sum(ends))
+            pivots = self._relation_pivots(r, detours)
             self._pivots_by_degree.append(pivots)
             # the relations share the pivot rows: one copy of each, no re-check
             rels = [FormExpr._of(pivots[lead]) for lead in sorted(pivots)]
             self.relations_by_degree.append(rels)
-            if len(cur) - len(rels) == 0:
+            if self._path_counts[r] - len(rels) == 0:
                 self.max_degree = r
                 return
         self.truncated = True
 
-    def _relation_pivots(self, r: int, out: dict, detours: list) -> dict:
+    def _basis(self, r: int) -> list[Path]:
+        """The degree-r admissible paths in lexicographic order, enumerated
+        from the highest degree listed so far and kept."""
+        bases = self._bases
+        while len(bases) <= r:
+            bases.append([p + (j,) for p in bases[-1] for j in self._out[p[-1]]])
+        return bases[r]
+
+    @property
+    def basis_by_degree(self) -> list[list[Path]]:
+        """The admissible paths of every built degree, enumerated on first read."""
+        return [self._basis(r) for r in range(len(self._path_counts))]
+
+    def _relation_pivots(self, r: int, detours: list) -> dict:
         """Reduced rows of the degree-r differential ideal on admissible paths.
 
         The ideal is generated by d(e_ij) for the deleted arrows (i, j).  A
@@ -298,12 +326,12 @@ class ReducedCalculus:
         start = time.perf_counter()
         pivots: dict[Path, dict] = {}
         for lead, row in self._pivots_by_degree[r - 1].items():
-            for v in out[lead[-1]]:
+            for v in self._out[lead[-1]]:
                 pivots[lead + (v,)] = {p + (v,): c for p, c in row.items()}
         fresh_rows: dict[tuple[int, int], list[dict]] = {}
         if r >= 2 and detours:
             ends: dict[int, list[Path]] = {}
-            for P in self.basis_by_degree[r - 2]:
+            for P in self._basis(r - 2):
                 ends.setdefault(P[-1], []).append(P)
             for i, j, mids in detours:
                 for P in ends.get(i, ()):
@@ -327,7 +355,7 @@ class ReducedCalculus:
                 "degree %d: %d paths, %d relations, %d endpoint blocks, "
                 "elimination %.6f s",
                 r,
-                len(self.basis_by_degree[r]),
+                self._path_counts[r],
                 len(pivots),
                 len({(lead[0], lead[-1]) for lead in pivots}),
                 time.perf_counter() - start,
@@ -341,7 +369,7 @@ class ReducedCalculus:
         form is zero; raises below 0 and past the cap of a truncated calculus."""
         if r < 0:
             raise ValidationError(f"degree {r} is negative")
-        if r < len(self.basis_by_degree):
+        if r < len(self._path_counts):
             return True
         if self.max_degree is not None:
             return False
@@ -352,13 +380,13 @@ class ReducedCalculus:
     def dimension(self, r: int) -> int:
         if not self._built(r):
             return 0
-        return len(self.basis_by_degree[r]) - len(self.relations_by_degree[r])
+        return self._path_counts[r] - len(self.relations_by_degree[r])
 
     def dimensions(self) -> list[int]:
-        return [self.dimension(r) for r in range(len(self.basis_by_degree))]
+        return [self.dimension(r) for r in range(len(self._path_counts))]
 
     def basis(self, r: int) -> list[Path]:
-        return list(self.basis_by_degree[r]) if self._built(r) else []
+        return list(self._basis(r)) if self._built(r) else []
 
     def relations(self, r: int) -> list[FormExpr]:
         return list(self.relations_by_degree[r]) if self._built(r) else []
@@ -411,22 +439,23 @@ class ReducedCalculus:
         return self._normalized(out)
 
     def differential(self, a: FormExpr) -> FormExpr:
-        """Insert every vertex at every slot with alternating sign."""
+        """Insert, at every slot with alternating sign, every vertex that an
+        arrow joins to its neighbours there, in ascending order."""
         self._require_valid(a)
-        n = self.graph.n
         out = {}
         for P, c in a.terms.items():
             for pos in range(len(P) + 1):
-                sign = 1 if pos % 2 == 0 else -1
-                left = P[pos - 1] if pos > 0 else None
-                right = P[pos] if pos < len(P) else None
-                for j in range(n):
-                    if left is not None and (left, j) not in self._arrows:
-                        continue
-                    if right is not None and (j, right) not in self._arrows:
-                        continue
+                term = (1 if pos % 2 == 0 else -1) * c
+                if pos == 0:
+                    mids = self._in[P[0]]
+                elif pos == len(P):
+                    mids = self._out[P[-1]]
+                else:
+                    right = P[pos]
+                    mids = [j for j in self._out[P[pos - 1]] if (j, right) in self._arrows]
+                for j in mids:
                     path = P[:pos] + (j,) + P[pos:]
-                    out[path] = out.get(path, 0) + sign * c
+                    out[path] = out.get(path, 0) + term
         return self._normalized(out)
 
     def function_differential(self, values: Sequence) -> FormExpr:

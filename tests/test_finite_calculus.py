@@ -500,3 +500,89 @@ def test_build_logs_each_degree_at_debug(caplog):
         "degree 3: 0 paths, 0 relations, 0 endpoint blocks",
     ]
     assert all(line.endswith(" s") for line in lines)
+
+
+# -- counted paths, bases enumerated on read ------------------------------
+
+
+def brute_force_paths(n, arrows, r):
+    """Every admissible path with r arrows, in lexicographic order."""
+    return [
+        path for path in itertools.product(range(n), repeat=r + 1)
+        if all((a, b) in arrows for a, b in zip(path, path[1:]))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(sorted(complete_arrows(n)))),
+        st.integers(1, 5),
+    )
+))
+def test_path_counts_and_lazy_bases_match_brute_force(case):
+    n, arrows, cap = case
+    graph = Digraph.from_arrows(n, arrows)
+    top_down = ReducedCalculus(graph, cap)
+    dims = top_down.dimensions()
+    paths = [brute_force_paths(n, arrows, r) for r in range(len(dims))]
+    assert top_down._path_counts == [len(p) for p in paths]
+    assert [dims[r] + len(top_down.relations(r)) for r in range(len(dims))] == [
+        len(p) for p in paths
+    ]
+    for r in reversed(range(len(dims))):
+        assert top_down.basis(r) == paths[r]
+        assert top_down.dimensions() == dims
+    bottom_up = ReducedCalculus(graph, cap)
+    assert bottom_up.basis_by_degree == paths
+    assert bottom_up.dimensions() == dims
+
+
+def test_reduce_leaves_the_universal_bases_unenumerated():
+    uni = build_universal(4, 6)
+    calc = reduce(uni, FIG1_ARROWS)
+    assert calc.dimensions() == [4, 4, 1, 0]
+    assert uni._bases == [[(0,), (1,), (2,), (3,)]]  # degree 0 only
+    assert uni.dimensions() == [4 * 3**r for r in range(7)]
+
+
+# -- differential against trying every vertex ----------------------------
+
+
+def differential_trying_every_vertex(calc, a):
+    """The differential by inserting each of the n vertices at every slot."""
+    n = calc.graph.n
+    out = {}
+    for P, c in a.terms.items():
+        for pos in range(len(P) + 1):
+            sign = 1 if pos % 2 == 0 else -1
+            for j in range(n):
+                path = P[:pos] + (j,) + P[pos:]
+                if calc.is_admissible_path(path):
+                    out[path] = out.get(path, 0) + sign * c
+    return calc._normalized(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(sorted(complete_arrows(n)))),
+        st.randoms(use_true_random=False),
+    )
+))
+def test_differential_equals_trying_every_vertex(case):
+    n, arrows, rng = case
+    calc = ReducedCalculus(Digraph.from_arrows(n, arrows), degree_cap=4)
+    for _ in range(6):
+        basis = calc.basis(rng.randint(0, 2))
+        if not basis:
+            continue
+        for coefficient in (
+            lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            lambda: rng.uniform(-3.0, 3.0),
+        ):
+            a = FormExpr({rng.choice(basis): coefficient() for _ in range(4)})
+            expected = differential_trying_every_vertex(calc, a)
+            assert calc.differential(a).terms == expected.terms

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgeom.distance import DistanceProblem, commutator_norm, distance
+from ncgeom.distance import DistanceProblem, commutator_norm, distance, distance_matrix
 from ncgeom.errors import NumericError, ValidationError
 from ncgeom.finite_calculus import (
     Digraph,
@@ -98,6 +98,8 @@ REJECTED = {
     "nan operator": lambda: distance(DistanceProblem(two_point(np.nan), 0, 1)),
     "inf operator": lambda: distance(DistanceProblem(two_point(np.inf), 0, 1)),
     "string operator": lambda: DistanceProblem(two_point("1"), 0, 1),
+    "empty operator matrix": lambda: distance_matrix(np.zeros((0, 0))),
+    "nan operator matrix": lambda: distance_matrix(np.array([[np.nan]])),
     "nan function": lambda: commutator_norm(TWO_POINT, [0.0, np.nan]),
     "bool window bound": lambda: LatticeSpec((1.0,), ((False, 3),)),
     "string spacing": lambda: LatticeSpec(("0.5",), ((0, 3),)),
