@@ -31,16 +31,17 @@ value, as it does for a floored f whose commutator norm exceeds
 1 + NORM_TOL: its f(q) is then no proven lower bound.  The repair is needed
 because rounding in the ill-conditioned Schur matrix leaves the iterates
 about 1e-9 off the constraints when the lengths span 1e-2 to 1e2.  For the
-same reason each corrector direction gets a refinement pass that solves for
-the residual dX misses; without it the 6 x 6 grid corner breaks down.  Near
-the optimum on such graphs the rounding errors of H reach its smallest
-eigenvalues, and that pass can leave a miss of 1e-7, which spoils the gap
-and then the positive definiteness of X.  So while the miss can still move
-tr(X) - f(q) by a tenth of the stop tolerance, up to REFINEMENT_PASSES more
-corrections solve with the Schur matrix as dX applies it, built from X dS
-S^-1 one direction at a time in O(n^4) on its own singular vectors, and add
-only the correction's own part to dX and dS, whose rounding is small.  A
-brute-force oracle gives independent values on small instances.
+same reason the corrector's df is corrected for the part of r_p that A(dX)
+misses; without that the 6 x 6 grid corner breaks down.  The direction is
+linear in df, so each correction c is one update, df -= c, dS -= B(c) and
+dX += sym(X B(c) S^-1), after which the miss is measured again.  The first
+c solves through H^-1.  Near the optimum on such graphs the rounding errors
+of H reach its smallest eigenvalues and can leave a miss of 1e-7, which
+spoils the gap and then the positive definiteness of X.  So while the miss
+can still move tr(X) - f(q) by a tenth of the stop tolerance, up to
+REFINEMENT_PASSES more c solve with the Schur matrix as dX applies it,
+built from X dS S^-1 one direction at a time on the eigenvectors of H, in
+O(n^4).  A brute-force oracle gives independent values on small instances.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +93,7 @@ class DistanceProblem:
         if self.p == self.q:
             raise ValidationError("the two points must differ")
 
-    @property
+    @cached_property
     def base(self) -> np.ndarray:
         return _real_base(self.operator)
 
@@ -181,23 +183,19 @@ def _schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
     return (k[1] * k[0].T).reshape(4, n, 4, n).sum(axis=(0, 2))
 
 
-def _applied_schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray):
+def _applied_schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray, h: np.ndarray):
     """The Schur matrix as `_hkm_direction` applies it: (V, G) with
     G[:, j] = tr(X dS(V[:, j]) S^-1 B_k) over the free k, computed from the
     product X dS S^-1 that dX is made of, and every column of norm one.
-    V holds the right singular vectors of a first build on unit vectors:
-    there the soft directions (singular values near 1e-2 at the end of a
-    solve) cancel inside columns dominated by stiff ones (near 1e14).  O(n^4).
+    V holds the eigenvectors of the built Schur matrix h: on unit vectors
+    the soft directions (eigenvalues near 1e-2 at the end of a solve) would
+    cancel inside columns dominated by stiff ones (near 1e14).  O(n^4).
     """
-
-    def applied(vectors):
-        return np.array([
-            _lmi_adjoint(d, x @ _lmi(d, np.concatenate(([0.0], v)), identity=0.0) @ s_inv)[1:]
-            for v in vectors
-        ]).T
-
-    basis = np.linalg.svd(applied(np.eye(d.shape[0] - 1)))[2].T
-    g = applied(basis.T)
+    basis = np.linalg.eigh(h)[1]
+    g = np.array([
+        _lmi_adjoint(d, x @ _lmi(d, np.concatenate(([0.0], v)), identity=0.0) @ s_inv)[1:]
+        for v in basis.T
+    ]).T
     scale = np.linalg.norm(g, axis=0)
     return basis / scale, g / scale
 
@@ -264,7 +262,8 @@ def _primal_dual_solve(d: np.ndarray, q: int):
         try:
             chol_inv = np.linalg.inv(np.linalg.cholesky(xs))
             s_inv = chol_inv[1].T @ chol_inv[1]
-            h_inv = np.linalg.inv(_schur(d, x, s_inv)[1:, 1:])
+            h = _schur(d, x, s_inv)[1:, 1:]
+            h_inv = np.linalg.inv(h)
         except np.linalg.LinAlgError as exc:
             raise NumericError("primal-dual iterate lost positive definiteness") from exc
         mu = float(np.vdot(x, s)) / dim
@@ -276,28 +275,27 @@ def _primal_dual_solve(d: np.ndarray, q: int):
         r = (mu_a / mu) ** 3 * mu * s_inv - dx_a @ ds_a @ s_inv
         df = h_inv @ (_lmi_adjoint(d, r)[1:] + target)
         ds, dx = _hkm_direction(d, x, s_inv, df, r)
-        # refinement: solve once more for the part of r_p that A(dX) misses
-        df -= h_inv @ (infeasible - _lmi_adjoint(d, dx)[1:])
-        ds, dx = _hkm_direction(d, x, s_inv, df, r)
-        miss = infeasible - _lmi_adjoint(d, dx)[1:]
-        basis = None
-        for _ in range(REFINEMENT_PASSES):
-            # enough once the miss moves tr(X) - f(q) = tr(XS) + f . r_p by
-            # less than a tenth of the stop tolerance
-            if np.abs(f[1:]) @ np.abs(miss) <= 0.1 * DEFAULT_TOL * upper:
-                break
-            try:
-                if basis is None:
-                    basis, applied = _applied_schur(d, x, s_inv)
-                correction = basis @ np.linalg.solve(applied, miss)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError("singular Schur matrix in the refinement") from exc
+        # each pass takes out the part of r_p that A(dX) misses
+        correction = h_inv @ (infeasible - _lmi_adjoint(d, dx)[1:])
+        for refinement in range(REFINEMENT_PASSES + 1):
             dm = _lmi(d, np.concatenate(([0.0], correction)), identity=0.0)
             gain = x @ dm @ s_inv
             df -= correction
             ds -= dm
             dx += 0.5 * (gain + gain.T)
             miss = infeasible - _lmi_adjoint(d, dx)[1:]
+            # enough once the miss moves tr(X) - f(q) = tr(XS) + f . r_p by
+            # less than a tenth of the stop tolerance
+            if refinement == REFINEMENT_PASSES or (
+                np.abs(f[1:]) @ np.abs(miss) <= 0.1 * DEFAULT_TOL * upper
+            ):
+                break
+            try:
+                if refinement == 0:
+                    basis, applied = _applied_schur(d, x, s_inv, h)
+                correction = basis @ np.linalg.solve(applied, miss)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError("singular Schur matrix in the refinement") from exc
         # 90-99% of the way to the boundary, more when the predictor went far
         step = min(1.0, (0.9 + 0.09 * step_a) * _step_to_boundary(chol_inv, dx, ds))
         x += step * dx

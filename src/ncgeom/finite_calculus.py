@@ -195,7 +195,8 @@ def _rref(rows: list[dict]) -> dict:
     and pivot columns cleared from every other row.  A lead of +1 or -1 is its
     own inverse, so int rows stay int until another lead is met.  The back
     substitution takes the pivot rows from the largest lead down; the rows it
-    subtracts are then already reduced, so each pivot column is cleared once.
+    subtracts are then already reduced, so each pivot column is cleared once,
+    in any order.
     """
     pivots: dict[Path, dict] = {}
     for row in rows:
@@ -211,7 +212,7 @@ def _rref(rows: list[dict]) -> dict:
             _subtract(row, row.pop(lead), pivots[lead], lead)
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
-        for p in sorted([p for p in row if p in pivots and p != lead], reverse=True):
+        for p in [p for p in row if p in pivots and p != lead]:
             _subtract(row, row.pop(p), pivots[p], p)
     return pivots
 
@@ -311,13 +312,11 @@ class ReducedCalculus:
         paths and keeps their lexicographic order, so the extended rows have
         distinct unit leads and contain no other extended row's lead.  Each
         row of (ii) is therefore reduced against them in one pass over its
-        own paths.  The remainders hold no extended lead; `_rref` eliminates
-        them, and their fresh leads are cleared from the extended rows, each
-        in one pass, since the fresh rows hold no lead but their own.  A
-        fresh lead in an extended row lies past that row's lead, which stays
-        its least path.  All paths of a row share its endpoints, so rows with
-        different endpoints share no column and `_rref` runs on one block
-        of rows per endpoint pair.
+        own paths.  The remainders hold no extended lead; one `_rref` call
+        eliminates them, and their fresh leads are cleared from the extended
+        rows, each in one pass, since the fresh rows hold no lead but their
+        own.  A fresh lead in an extended row lies past that row's lead,
+        which stays its least path.
 
         The union is in reduced row echelon form and spans every degree-r
         generator, so by uniqueness of that form it equals one elimination
@@ -328,7 +327,7 @@ class ReducedCalculus:
         for lead, row in self._pivots_by_degree[r - 1].items():
             for v in self._out[lead[-1]]:
                 pivots[lead + (v,)] = {p + (v,): c for p, c in row.items()}
-        fresh_rows: dict[tuple[int, int], list[dict]] = {}
+        fresh_rows: list[dict] = []
         if r >= 2 and detours:
             ends: dict[int, list[Path]] = {}
             for P in self._basis(r - 2):
@@ -341,10 +340,8 @@ class ReducedCalculus:
                         if prow is not None:
                             _subtract(row, row.pop(p), prow, p)
                     if row:
-                        fresh_rows.setdefault((P[0], j), []).append(row)
-        fresh: dict[Path, dict] = {}
-        for rows in fresh_rows.values():
-            fresh.update(_rref(rows))
+                        fresh_rows.append(row)
+        fresh = _rref(fresh_rows)
         if fresh:
             for row in pivots.values():
                 for p in [p for p in row if p in fresh]:

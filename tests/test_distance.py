@@ -516,6 +516,19 @@ SIX_POINT_C = _symmetric(
 SIX_POINT_D = _symmetric(
     6, {(1, 2): 1e-2, (1, 4): 1e-2, (2, 3): 1e-2, (2, 5): 1e2, (4, 5): 1 / 10**1.5}
 )
+# lengths from 1e-4 to 1e4; pair (7, 0) has ended on an optimizer of
+# commutator norm 1 + 1.76e-9
+EIGHT_POINT_1E4 = _symmetric(8, {
+    (0, 1): 1000.0, (1, 3): 3162.277660168379, (1, 4): 0.00031622776601683794,
+    (1, 5): 0.001, (1, 7): 0.31622776601683794, (2, 4): 0.0001,
+    (3, 6): 316.2277660168379, (4, 6): 316.2277660168379,
+    (6, 7): 3162.277660168379,
+})
+# pair (2, 0) has lost positive definiteness; the oracle gives 95.34673561605679
+FOUR_POINT_1E4 = _symmetric(4, {
+    (0, 1): 0.00316227766016838, (0, 3): 0.01, (1, 2): 10.0, (1, 3): 10000.0,
+    (2, 3): 0.31622776601683794,
+})
 
 
 @pytest.mark.parametrize(
@@ -530,10 +543,15 @@ SIX_POINT_D = _symmetric(
         (SIX_POINT_C, 5, 2),
         (SIX_POINT_D, 1, 3),
         (SIX_POINT_D, 3, 4),
+        (EIGHT_POINT_1E4, 7, 0),
+        (EIGHT_POINT_1E4, 0, 7),
+        (FOUR_POINT_1E4, 2, 0),
     ],
     ids=[
         "eight_point", "six_a_1_3", "six_a_3_1", "six_b_1_4", "six_b_4_1",
         "six_c_2_5", "six_c_5_2", "six_d_1_3", "six_d_3_4",
+        "lengths_1e_4_to_1e4_eight_point_7_0", "lengths_1e_4_to_1e4_eight_point_0_7",
+        "lengths_1e_4_to_1e4_four_point_2_0",
     ],
 )
 def test_lengths_from_1e_2_to_1e2_are_certified(d, p, q):
@@ -548,18 +566,35 @@ def test_lengths_from_1e_2_to_1e2_are_certified(d, p, q):
     assert commutator_norm(d, sol.optimizer) <= 1.0 + 1e-9
 
 
-def test_optimizer_above_unit_norm_raises():
-    # Lengths from 1e-4 to 1e4: the solve closes its gap, but the floored
-    # optimizer has commutator norm 1 + 1.76e-9, so its value is no proven
-    # lower bound and must not be labelled certified
-    d = _symmetric(8, {
-        (0, 1): 1000.0, (1, 3): 3162.277660168379, (1, 4): 0.00031622776601683794,
-        (1, 5): 0.001, (1, 7): 0.31622776601683794, (2, 4): 0.0001,
-        (3, 6): 316.2277660168379, (4, 6): 316.2277660168379,
-        (6, 7): 3162.277660168379,
-    })
+def test_optimizer_above_unit_norm_raises(monkeypatch):
+    # a solve that closes its gap on an optimizer of commutator norm above
+    # 1 + NORM_TOL has no proven lower bound and must not be labelled certified
+    import ncgeom.distance as solver
+
+    def solve(d, q):
+        return np.array([0.0, 1.0 + 2.0 * solver.NORM_TOL]), 1.0, 1, 0.0
+
+    monkeypatch.setattr(solver, "_primal_dual_solve", solve)
     with pytest.raises(NumericError, match="commutator norm"):
-        distance(DistanceProblem(d, 7, 0))
+        distance(DistanceProblem(TWO_POINT, 0, 1))
+
+
+def test_operator_is_checked_once_per_problem(monkeypatch):
+    import ncgeom.distance as solver
+
+    prob = DistanceProblem(FIG1, 0, 2)
+    calls = []
+    checked = solver._real_base
+
+    def counted(operator):
+        calls.append(operator)
+        return checked(operator)
+
+    monkeypatch.setattr(solver, "_real_base", counted)
+    distance(prob)
+    # the problem checked its operator when it was built; this one call is
+    # commutator_norm's, on the optimizer
+    assert len(calls) == 1
 
 
 def bidirected(d):
