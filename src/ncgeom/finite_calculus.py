@@ -7,10 +7,12 @@ edge forms, which restricts the admissible paths and imposes linear
 relations generated by the differentials of the deleted edges.  The degree-r
 relations are the degree r-1 ones times an arrow plus the generators whose
 detour ends the path, so each degree is built from the previous degree's
-reduced rows.  Relations are eliminated exactly, over ints that become
-`Fraction` only at a pivot other than +1 or -1, so dimensions and normal
-forms carry no floating point error.  The build counts the admissible paths
-of each degree; a degree's path list is enumerated when it is first read.
+reduced rows; those generators are needed only for the normal words, the
+paths that are not pivots, which form the quotient basis.  Relations are
+eliminated exactly, over ints that become `Fraction` only at a pivot other
+than +1 or -1, so dimensions and normal forms carry no floating point error.
+The build counts the admissible paths of each degree and lists only normal
+words; a degree's path list is enumerated when it is first read.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
@@ -225,9 +227,10 @@ class ReducedCalculus:
     stopping at the first degree whose quotient dimension vanishes
     (`max_degree`) or at `degree_cap`, whichever comes first.  Past the cap
     the calculus reports itself truncated rather than guessing.  The build
-    only counts each degree's admissible paths; a degree's basis is
-    enumerated, and kept, when `basis`, `basis_by_degree` or the relations
-    of degree r + 2 first read it.
+    counts each degree's admissible paths, and lists the normal words of
+    degree r - 2, the paths that are not pivots, only when the relations of
+    degree r need them.  A degree's admissible paths are enumerated, and
+    kept, when `basis` or `basis_by_degree` first reads them.
     """
 
     def __init__(self, graph: Digraph, degree_cap: int = DEFAULT_DEGREE_CAP):
@@ -246,6 +249,7 @@ class ReducedCalculus:
             self._in[j].append(i)
         self._path_counts: list[int] = []
         self._bases: list[list[Path]] = [[(i,) for i in range(n)]]
+        self._normal_words: list[list[Path]] = [[(i,) for i in range(n)]]
         self.relations_by_degree: list[list[FormExpr]] = []
         self._pivots_by_degree: list[dict] = []
         self.max_degree: int | None = None
@@ -291,6 +295,20 @@ class ReducedCalculus:
             bases.append([p + (j,) for p in bases[-1] for j in self._out[p[-1]]])
         return bases[r]
 
+    def _normal(self, r: int) -> list[Path]:
+        """The degree-r normal words, the admissible paths that are not
+        pivots, in lexicographic order.  A pivot extended by an arrow is a
+        pivot, so they are extended from the highest degree listed so far,
+        and kept."""
+        words = self._normal_words
+        while len(words) <= r:
+            pivots = self._pivots_by_degree[len(words)]
+            words.append([
+                q for w in words[-1] for v in self._out[w[-1]]
+                if (q := w + (v,)) not in pivots
+            ])
+        return words[r]
+
     @property
     def basis_by_degree(self) -> list[list[Path]]:
         """The admissible paths of every built degree, enumerated on first read."""
@@ -307,6 +325,12 @@ class ReducedCalculus:
         So the degree-r span is (i) the degree r-1 span times every arrow,
         plus (ii) the generators P + (k, j) whose detour ends the path.
 
+        (ii) needs only the normal words P of degree r-2, the paths that are
+        not pivots.  A pivot P has the reduced row R_P = P + sum_b c_b b over
+        normal words b, all ending where P ends.  Each R_P + (k,) lies in the
+        degree r-1 span, so R_P + (k, j) lies in (i), and P's generator
+        equals minus sum_b c_b times b's generator modulo (i).
+
         (i) is spanned by the degree r-1 pivot rows, each extended by every
         arrow out of its end vertex.  Appending one arrow is injective on
         paths and keeps their lexicographic order, so the extended rows have
@@ -316,7 +340,7 @@ class ReducedCalculus:
         eliminates them, and their fresh leads are cleared from the extended
         rows, each in one pass, since the fresh rows hold no lead but their
         own.  A fresh lead in an extended row lies past that row's lead,
-        which stays its least path.
+        which stays its least path, so rows of one entry need no clearing.
 
         The union is in reduced row echelon form and spans every degree-r
         generator, so by uniqueness of that form it equals one elimination
@@ -324,13 +348,22 @@ class ReducedCalculus:
         """
         start = time.perf_counter()
         pivots: dict[Path, dict] = {}
+        long_rows: list[dict] = []  # extended rows with more than their lead
         for lead, row in self._pivots_by_degree[r - 1].items():
+            if len(row) == 1:
+                c = row[lead]
+                for v in self._out[lead[-1]]:
+                    q = lead + (v,)
+                    pivots[q] = {q: c}
+                continue
             for v in self._out[lead[-1]]:
-                pivots[lead + (v,)] = {p + (v,): c for p, c in row.items()}
+                extended = {p + (v,): c for p, c in row.items()}
+                pivots[lead + (v,)] = extended
+                long_rows.append(extended)
         fresh_rows: list[dict] = []
         if r >= 2 and detours:
             ends: dict[int, list[Path]] = {}
-            for P in self._basis(r - 2):
+            for P in self._normal(r - 2):
                 ends.setdefault(P[-1], []).append(P)
             for i, j, mids in detours:
                 for P in ends.get(i, ()):
@@ -343,7 +376,7 @@ class ReducedCalculus:
                         fresh_rows.append(row)
         fresh = _rref(fresh_rows)
         if fresh:
-            for row in pivots.values():
+            for row in long_rows:
                 for p in [p for p in row if p in fresh]:
                     _subtract(row, row.pop(p), fresh[p], p)
             pivots.update(fresh)
@@ -389,10 +422,9 @@ class ReducedCalculus:
         return list(self.relations_by_degree[r]) if self._built(r) else []
 
     def is_admissible_path(self, path: Path) -> bool:
-        n = self.graph.n
-        if not all(0 <= v < n for v in path):
-            return False
-        return all((a, b) in self._arrows for a, b in zip(path, path[1:]))
+        if len(path) == 1:
+            return 0 <= path[0] < self.graph.n
+        return self._arrows.issuperset(zip(path, path[1:]))
 
     def unit(self) -> FormExpr:
         return FormExpr({(i,): 1 for i in range(self.graph.n)})
@@ -401,7 +433,8 @@ class ReducedCalculus:
         for p in expr.terms:
             if not self.is_admissible_path(p):
                 raise ValidationError(f"path {p} is not admissible in this calculus")
-            self._built(len(p) - 1)
+        for r in {len(p) - 1 for p in expr.terms}:
+            self._built(r)
 
     # -- algebra ------------------------------------------------------
 
@@ -410,6 +443,8 @@ class ReducedCalculus:
 
         Pivot rows are fully reduced, so subtracting one brings in no other
         lead: one visit to each path of the expression clears every lead.
+        The result holds admissible paths and no zero, so it is not checked
+        again.
         """
         out = {path: c for path, c in raw.items() if c != 0}
         built = {r: self._built(r) for r in {len(p) - 1 for p in out}}
@@ -420,7 +455,7 @@ class ReducedCalculus:
             row = self._pivots_by_degree[len(p) - 1].get(p)
             if row is not None:
                 _subtract(out, out.pop(p), row, p)
-        return FormExpr(out)
+        return FormExpr._of(out)
 
     def multiply(self, a: FormExpr, b: FormExpr) -> FormExpr:
         """Concatenation product: e_{..i} e_{j..} = delta_ij e_{..i j..}."""

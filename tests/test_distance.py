@@ -406,6 +406,35 @@ def test_relative_precision_at_any_length_scale():
         assert sol.upper_bound - sol.value <= 1e-9 * sol.upper_bound
 
 
+def symmetric_chain_matrix(n, spacing=1.0):
+    d = chain_matrix([spacing] * (n - 1))
+    return d + d.T
+
+
+def chain_closed_form(k):
+    """Distance between points k apart on the symmetric unit chain: (k + 1)/2
+    for odd k, sqrt(k (k + 2))/2 for even k (Dimakis & Mueller-Hoissen,
+    q-alg/9707016; Bimonte, Lizzi & Sparano, Phys. Lett. B 341 (1994) 139)."""
+    return (k + 1) / 2 if k % 2 else math.sqrt(k * (k + 2)) / 2
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_symmetric_unit_chain_brackets_the_closed_form(n):
+    d = symmetric_chain_matrix(n)
+    for q in range(1, n):
+        sol = distance(DistanceProblem(d, 0, q))
+        exact = chain_closed_form(q)
+        assert sol.value <= exact * (1 + 1e-12)
+        assert exact <= sol.upper_bound * (1 + 1e-12)
+
+
+def test_spaced_chain_distance_matrix_matches_the_closed_form():
+    n, spacing = 12, 0.37
+    expected = [[spacing * chain_closed_form(abs(i - j)) for j in range(n)] for i in range(n)]
+    m = distance_matrix(symmetric_chain_matrix(n, spacing))
+    np.testing.assert_allclose(m, expected, rtol=1e-9, atol=0)
+
+
 def test_grid8_corner_certified():
     d = grid_matrix(8)
     assert_certified(distance(DistanceProblem(d, 0, 63)), d)

@@ -17,6 +17,7 @@ from ncgeom.finite_calculus import (
     ReducedCalculus,
     _rref,
     build_universal,
+    calculus_for,
     complete_arrows,
     differential,
     function_differential,
@@ -545,6 +546,46 @@ def test_reduce_leaves_the_universal_bases_unenumerated():
     assert calc.dimensions() == [4, 4, 1, 0]
     assert uni._bases == [[(0,), (1,), (2,), (3,)]]  # degree 0 only
     assert uni.dimensions() == [4 * 3**r for r in range(7)]
+
+
+def walk_counts(n, arrows, top):
+    """The number of admissible paths with r arrows, r = 0..top, from powers
+    of the adjacency matrix."""
+    row = [1] * n  # walks of the current length ending at each vertex
+    counts = [n]
+    for _ in range(top):
+        row = [sum(row[i] for i in range(n) if (i, j) in arrows) for j in range(n)]
+        counts.append(sum(row))
+    return counts
+
+
+def test_build_lists_no_paths():
+    arrows = frozenset(bigrid_arrows(3, 3))
+    calc = calculus_for(Digraph.from_arrows(9, arrows), 6)
+    assert calc._bases == [[(v,) for v in range(9)]]  # degree 0 only
+    bases = calc.basis_by_degree
+    assert [len(b) for b in bases] == walk_counts(9, arrows, 6)
+    for r, paths in enumerate(bases):
+        assert paths == sorted(set(paths))
+        assert all(len(p) == r + 1 and calc.is_admissible_path(p) for p in paths)
+    assert bases[:5] == [brute_force_paths(9, arrows, r) for r in range(5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(sorted(complete_arrows(n)))),
+        st.integers(1, 5),
+    )
+))
+def test_normal_words_are_the_quotient_basis(case):
+    n, arrows, cap = case
+    calc = ReducedCalculus(Digraph.from_arrows(n, arrows), cap)
+    for r, pivots in enumerate(calc._pivots_by_degree):
+        words = calc._normal(r)
+        assert words == [p for p in brute_force_paths(n, arrows, r) if p not in pivots]
+        assert len(words) == calc.dimension(r)
 
 
 # -- differential against trying every vertex ----------------------------
