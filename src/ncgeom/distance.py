@@ -11,7 +11,10 @@ semidefinite program
 
 C(f) = D o (f_j - f_i).  Its dual is min tr(X) s.t. tr(X B_k) = -delta_kq for
 k != p, X >= 0, and f(q) = tr(X) - tr(X M(f)) <= tr(X) by weak duality.
-`distance` solves both at once from X = M(0) = I by an infeasible-start
+The distance scales as 1/D, so `distance` solves on D 2^-s, with s the
+binary exponent of max|D|, and scales f and the bound back by 2^-s.  That
+is exact: no operator overflows, and D and 2^k D give the same iterates.
+It solves both at once from X = M(0) = I by an infeasible-start
 primal-dual method: the HKM direction (Helmberg, Rendl, Vanderbei &
 Wolkowicz, SIAM J. Optim. 6, 1996) with Mehrotra's predictor-corrector
 (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998).  Each B_k has rank at most
@@ -28,7 +31,8 @@ the repaired X costs 2n e on the bound.  A solve stops once that bound and
 the value it returns, f(q) of the floored f, agree to the relative gap
 DEFAULT_TOL, and raises NumericError rather than return an uncertified
 value, as it does for a floored f whose commutator norm exceeds
-1 + NORM_TOL: its f(q) is then no proven lower bound.  The repair is needed
+1 + NORM_TOL: its f(q) is then no proven lower bound.  The floor rounds f
+down to multiples of two ulps of max|f|.  The repair is needed
 because rounding in the ill-conditioned Schur matrix leaves the iterates
 about 1e-9 off the constraints when the lengths span 1e-2 to 1e2.  For the
 same reason the corrector's df is corrected for the part of r_p that A(dX)
@@ -123,22 +127,14 @@ def commutator_norm(operator, f) -> float:
 
 
 def _undirected_components(d: np.ndarray) -> np.ndarray:
-    """Component label per vertex of the symmetrized nonzero pattern."""
+    """Component label per vertex of the symmetrized nonzero pattern, its
+    least reachable vertex: each squaring of the pattern plus the diagonal
+    doubles the path length it covers, up to n - 1 in that many squarings."""
     n = d.shape[0]
-    coupled = (d != 0) | (d.T != 0)
-    labels = np.full(n, -1)
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = start
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(coupled[u]):
-                if labels[v] < 0:
-                    labels[v] = start
-                    stack.append(int(v))
-    return labels
+    reach = (d != 0) | (d.T != 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return reach.argmax(axis=1)
 
 
 def _lmi(d: np.ndarray, f: np.ndarray, identity: float = 1.0) -> np.ndarray:
@@ -227,10 +223,10 @@ def _repaired(d: np.ndarray, x: np.ndarray, infeasible: np.ndarray) -> np.ndarra
 
 
 def _floored(f: np.ndarray) -> np.ndarray:
-    """f rounded down to multiples of 2^-44 times its size, far inside the
-    margin M(f) > 0 leaves: adding a constant on that grid then changes no
+    """f rounded down to multiples of two ulps of max|f|, inside the margin
+    M(f) > 0 leaves: adding a constant on that grid then changes no
     difference f_j - f_i, so [D, f + c] equals [D, f] bit for bit."""
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(f).max()))[1] - 44)
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(f).max()))[1] - 52)
     return np.floor(f / unit) * unit
 
 
@@ -333,11 +329,14 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
     # other components only add directions along which nothing changes
     comp = np.flatnonzero(labels == labels[p])
     comp = np.concatenate(([p], comp[comp != p]))  # f(p) = 0 is pinned first
+    sub = d[np.ix_(comp, comp)]
+    # the solve runs on D 2^-s with max|D| 2^-s in [0.5, 1)
+    s = math.frexp(float(np.abs(sub).max()))[1]
     f, upper, iterations, residual = _primal_dual_solve(
-        d[np.ix_(comp, comp)], int(np.flatnonzero(comp == q)[0])
+        np.ldexp(sub, -s), int(np.flatnonzero(comp == q)[0])
     )
     optimizer = np.zeros(n)
-    optimizer[comp] = f
+    optimizer[comp] = np.ldexp(f, -s)
     norm = commutator_norm(d, optimizer)
     if norm > 1.0 + NORM_TOL:
         # the value is then no proven lower bound
@@ -346,7 +345,7 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
         value=float(optimizer[q] - optimizer[p]),
         optimizer=optimizer,
         constraint_norm=norm,
-        upper_bound=upper,
+        upper_bound=math.ldexp(upper, -s),
         newton_steps=iterations,
         status="certified",
         residual=residual,
@@ -388,15 +387,14 @@ def _polish_directions(dims: int) -> np.ndarray:
     The ratio is a maximum of smooth pieces, so its optima sit on ridges
     where several singular values tie; crossing such a ridge can require
     a coordinated move of many coordinates, which axis steps alone never
-    find.  Up to five dimensions the full {-1, 0, 1} stencil is cheap;
-    beyond that the supports are capped at three coordinates.
+    find.  The oracle has at most five dimensions, where the full
+    {-1, 0, 1} stencil is cheap.
     """
     from itertools import combinations, product
 
     eye = np.eye(dims)
     dirs = []
-    sizes = range(1, dims + 1) if dims <= 5 else (1, 2, 3)
-    for size in sizes:
+    for size in range(1, dims + 1):
         for support in combinations(range(dims), size):
             for signs in product((1.0, -1.0), repeat=size):
                 v = sum(s * eye[i] for s, i in zip(signs, support))
@@ -475,12 +473,11 @@ def oracle_distance(prob: DistanceProblem, complex_functions: bool = False) -> f
                 fs[:, k] = coords[:, 1 + 2 * idx] + 1j * coords[:, 2 + 2 * idx]
             return fs
 
-    m = _GRID_SIZES.get(dims, 7)
+    m = _GRID_SIZES[dims]
     center = np.full(dims, box / 2.0)
     half_width = np.full(dims, box / 2.0)
     if complex_functions:
         center[1:] = 0.0
-        half_width[1:] = box / 2.0
 
     best_x = center.copy()
     best_val = -math.inf

@@ -8,6 +8,7 @@ non-closed one-forms handed to the potential constructor, singular matrices.
 """
 
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -37,6 +38,15 @@ def real_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a real number")
     return float(value)
+
+
+def positive_real(value, what: str) -> float:
+    """`value` as a float; ValidationError unless it is a real number, not a
+    bool, with 0 < value < inf.  Lengths, spacings and step sizes take it."""
+    v = real_number(value, what)
+    if not 0 < v < math.inf:  # nan fails too
+        raise ValidationError(f"{what} must be positive and finite")
+    return v
 
 
 def finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:

@@ -91,10 +91,6 @@ class Digraph:
     def from_arrows(cls, n: int, arrows: Iterable[tuple[int, int]]) -> "Digraph":
         return cls(FiniteSet.of_size(n), frozenset(tuple(a) for a in arrows))
 
-    @classmethod
-    def complete(cls, base: FiniteSet) -> "Digraph":
-        return cls(base, complete_arrows(base.n))
-
     @property
     def n(self) -> int:
         return self.base.n
@@ -103,6 +99,8 @@ class Digraph:
 def _check_path(path) -> Path:
     if not isinstance(path, tuple) or not path:
         raise ValidationError(f"path {path!r} must be a nonempty tuple of vertices")
+    for v in path:
+        integer(v, "each path vertex")
     for a, b in zip(path, path[1:]):
         if a == b:
             raise ValidationError(f"path {path!r} repeats consecutive vertex {a}")
@@ -504,13 +502,10 @@ class ReducedCalculus:
         return FormExpr(out)
 
 
-def build_universal(
-    base: FiniteSet | int, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> ReducedCalculus:
-    """Universal differential calculus: the complete digraph, no relations."""
-    if not isinstance(base, FiniteSet):
-        base = FiniteSet.of_size(base)
-    return ReducedCalculus(Digraph.complete(base), degree_cap=degree_cap)
+def build_universal(n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> ReducedCalculus:
+    """Universal calculus on n points: the complete digraph, no relations."""
+    base = FiniteSet.of_size(n)
+    return ReducedCalculus(Digraph(base, complete_arrows(base.n)), degree_cap=degree_cap)
 
 
 def reduce(

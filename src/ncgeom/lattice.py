@@ -12,13 +12,11 @@ using the matrix product for matrix-valued fields.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real_number
+from .errors import ValidationError, integer, positive_real
 
 Window = tuple[tuple[int, int], ...]
 
@@ -37,6 +35,11 @@ def intersect_windows(a: Window, b: Window) -> Window:
     return tuple(out)
 
 
+def values_on(values: np.ndarray, start, window: Window) -> np.ndarray:
+    """View of the values, whose first site is `start`, on a window inside theirs."""
+    return values[tuple(slice(lo - s, hi - s) for (lo, hi), s in zip(window, start))]
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Lattice geometry: spacings and index window; the site with index k
@@ -47,18 +50,15 @@ class LatticeSpec:
 
     def __post_init__(self):
         try:
-            sp = tuple(real_number(s, "spacings") for s in self.spacings)
+            sp = tuple(positive_real(s, "spacings") for s in self.spacings)
             win = tuple(
-                (operator.index(lo), operator.index(hi)) for lo, hi in self.window
+                (integer(lo, "each window bound"), integer(hi, "each window bound"))
+                for lo, hi in self.window
             )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"spacings must be real, window bounds integer: {exc}"
-            ) from None
-        if not all(0 < s < math.inf for s in sp):
-            raise ValidationError("spacings must be positive and finite")
-        if True in (type(b) is bool for pair in self.window for b in pair):
-            raise ValidationError("window bounds must be integers, not bools")
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:  # not sequences, or not pairs
+            raise ValidationError(f"malformed spacings or window: {exc}") from None
         if len(win) != len(sp):
             raise ValidationError("window and spacings dimensions differ")
         if any(lo >= hi for lo, hi in win):
@@ -138,9 +138,7 @@ class LatticeField:
 
     def _values_on(self, window: Window) -> np.ndarray:
         """View of the values on a window inside this field's window."""
-        starts = [lo for lo, _ in self.spec.window]
-        sl = tuple(slice(lo - s, hi - s) for (lo, hi), s in zip(window, starts))
-        return self.values[sl]
+        return values_on(self.values, [lo for lo, _ in self.spec.window], window)
 
     def restricted(self, window: Window) -> "LatticeField":
         window = intersect_windows(self.spec.window, window)

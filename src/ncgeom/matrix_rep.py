@@ -8,12 +8,11 @@ Weights are stored directly in the matrix entries (1/length per arrow).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, finite_array
+from .errors import ValidationError, finite_array, positive_real
 from .finite_calculus import Digraph
 
 TRIPLE_TOL = 1e-12
@@ -44,11 +43,7 @@ class AdjacencyMatrix:
         m = np.zeros((graph.n, graph.n))
         for (i, j) in graph.arrows:
             ell = 1.0 if lengths is None else lengths.get((i, j), 1.0)
-            if not 0 < ell < math.inf:
-                raise ValidationError(
-                    f"arrow length for {(i, j)} must be positive and finite"
-                )
-            m[i, j] = 1.0 / ell
+            m[i, j] = 1.0 / positive_real(ell, "each arrow length")
         return cls(m)
 
 

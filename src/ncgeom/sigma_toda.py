@@ -50,6 +50,7 @@ from .errors import (
     finite_array,
     integer,
     overflow_is_numeric,
+    positive_real,
     real_number,
 )
 from .lattice import (
@@ -60,6 +61,7 @@ from .lattice import (
     forward_derivative,
     intersect_windows,
     invert_values,
+    values_on,
 )
 
 TIME, SPACE = 0, 1
@@ -155,11 +157,6 @@ def _floats(values: np.ndarray) -> np.ndarray:
     """Integer values as floats, the type of their differences, which the
     kernel divides in place; other values as they are."""
     return values.astype(np.result_type(values, 1.0), copy=False)
-
-
-def _on(values, start, window: Window):
-    """View of the values, whose first site is `start`, on a window inside theirs."""
-    return values[tuple(slice(lo - s, hi - s) for (lo, hi), s in zip(window, start))]
 
 
 def _cut(buffer, like):
@@ -347,9 +344,10 @@ def covariant_derivative(chi: LatticeField, A: LatticeOneForm) -> LatticeOneForm
     d0, d1 = _d(chi_values, start, l0, l1)
     win = intersect_windows(_window(start, d0.shape), A.spec.window)
     (t, t_end), (x, x_end) = win
-    A0, A1 = (_on(_floats(c.values), _start(A.spec), win) for c in A.components)
-    chi_cut = _on(chi_values, start, ((t, t_end + 1), (x, x_end + 1)))
-    D0, D1 = _covariant(chi_cut, _on(d0, start, win), _on(d1, start, win), A0, A1)
+    A0, A1 = (values_on(_floats(c.values), _start(A.spec), win) for c in A.components)
+    chi_cut = values_on(chi_values, start, ((t, t_end + 1), (x, x_end + 1)))
+    d0, d1 = (values_on(v, start, win) for v in (d0, d1))
+    D0, D1 = _covariant(chi_cut, d0, d1, A0, A1)
     return _one_form(chi.spec, (t, x), D0, D1)
 
 
@@ -453,6 +451,15 @@ def _check_run_size(rows: float, sites: int) -> None:
         )
 
 
+def _chains(a, b, what: str):
+    """Float copies of a and b; ValidationError unless they are two
+    equal-length nonempty 1-D arrays of finite reals."""
+    a, b = (finite_array(v, what).astype(float) for v in (a, b))
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValidationError(f"{what} must be equal-length nonempty 1-D arrays")
+    return a, b
+
+
 def _bonds(qe: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Bond exponentials e^{q_k - q_{k+1}} of a padded chain of n sites.
 
@@ -478,13 +485,9 @@ class TodaState:
     l1: float
 
     def __post_init__(self):
-        qp = finite_array(self.q_prev, "slices").astype(float, copy=False)
-        qc = finite_array(self.q_curr, "slices").astype(float, copy=False)
-        if qp.shape != qc.shape or qp.ndim != 1 or qp.size == 0:
-            raise ValidationError("slices must be equal-length 1-D arrays")
-        l0, l1 = real_number(self.l0, "l0"), real_number(self.l1, "l1")
-        if not (0 < l0 < math.inf and 0 < l1 < math.inf):
-            raise ValidationError("spacings must be positive and finite")
+        qp, qc = _chains(self.q_prev, self.q_curr, "slices")
+        l0 = positive_real(self.l0, "the spacings' l0")
+        l1 = positive_real(self.l1, "the spacings' l1")
         for name, value in zip(("q_prev", "q_curr", "l0", "l1"), (qp, qc, l0, l1)):
             object.__setattr__(self, name, value)
 
@@ -543,18 +546,13 @@ _YOSHIDA_C = (
 _YOSHIDA_D = (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)
 
 
-def _check_l1(l1: float) -> None:
-    if not 0 < real_number(l1, "spacing l1") < math.inf:
-        raise ValidationError("spacing l1 must be positive and finite")
-
-
 @overflow_is_numeric
 def toda_force(q, l1: float, boundary: str = "fixed") -> np.ndarray:
     """Acceleration -(1/l1^2)(e^{q_k - q_{k+1}} - e^{q_{k-1} - q_k}).
 
     The end sites' outer neighbours are the boundary's ghost sites.
     """
-    _check_l1(l1)
+    l1 = positive_real(l1, "spacing l1")
     bonds = _bonds(_padded(q, boundary))
     return -(bonds[..., 1:] - bonds[..., :-1]) / l1**2
 
@@ -598,15 +596,11 @@ def toda_integrate(
     The chain lives inside one padded buffer whose ghost sites carry the
     boundary (see `_set_ghosts`); only periodic ghosts move with the chain.
     """
-    if not 0 < real_number(h, "step size") < math.inf:
-        raise ValidationError("step size must be positive and finite")
+    h = positive_real(h, "step size")
     if not 0 <= real_number(t_final, "t_final") < math.inf:
         raise ValidationError("t_final must be finite and >= 0")
-    _check_l1(l1)
-    q = finite_array(q0, "q0").astype(float)
-    p = finite_array(p0, "p0").astype(float)
-    if q.shape != p.shape or q.ndim != 1 or q.size == 0:
-        raise ValidationError("q0 and p0 must be equal-length nonempty 1-D arrays")
+    l1 = positive_real(l1, "spacing l1")
+    q, p = _chains(q0, p0, "q0 and p0")
     _check_run_size(2 * (t_final / h + 1), q.size)  # the q and p rows
     qe = _padded(q, boundary)
     q = qe[1:-1]
@@ -639,9 +633,9 @@ def toda_integrate(
     )
 
 
-def discrete_continuum_orders(q0, p0, t_final: float = 1.0, l1: float = 1.0):
+def discrete_continuum_orders(q0, p0, t_final: float = 1.0):
     """Observed convergence orders of the discrete flow against the continuum
-    at the step sizes ORDER_L0S.
+    at the step sizes ORDER_L0S, with unit space step l1.
 
     Each discrete run is seeded with the reference trajectory's first two
     slices, so the measured error is purely the scheme's O(l0) defect.
@@ -650,13 +644,12 @@ def discrete_continuum_orders(q0, p0, t_final: float = 1.0, l1: float = 1.0):
     """
     if not real_number(t_final, "t_final") >= max(ORDER_L0S):
         raise ValidationError(f"t_final must be at least {max(ORDER_L0S)}")
-    q0 = finite_array(q0, "q0")
-    ref = toda_integrate(q0, p0, t_final, ORDER_REF_H, l1=l1, boundary="fixed")
+    ref = toda_integrate(q0, p0, t_final, ORDER_REF_H, boundary="fixed")
     errors = []
     for l0 in ORDER_L0S:
         per = int(round(l0 / ORDER_REF_H))
         n_final = int(round(t_final / l0))
-        state = TodaState(q0, ref.q[per], l0, l1)
+        state = TodaState(q0, ref.q[per], l0, 1.0)
         run = toda_run_discrete(state, n_final - 1)
         errors.append(float(np.max(np.abs(run[n_final] - ref.q[n_final * per]))))
     if not min(errors) > 0:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgeom.distance import (
@@ -220,6 +220,43 @@ def test_disconnected_components_give_infinity():
     sol = distance(DistanceProblem(d, 0, 2))
     assert math.isinf(sol.value)
     assert sol.constraint_norm == 0.0  # component indicator has zero commutator
+
+
+def union_find_labels(d):
+    """Least vertex of each vertex's component, by a plain union-find over
+    the arrows: each root is the least vertex of its set."""
+    parent = list(range(d.shape[0]))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in zip(*np.nonzero(d)):
+        a, b = root(i), root(j)
+        parent[max(a, b)] = min(a, b)
+    return [root(v) for v in range(d.shape[0])]
+
+
+@st.composite
+def arrow_patterns(draw):
+    """1-40 points and up to 60 arrows, so many draws leave vertices isolated."""
+    n = draw(st.integers(1, 40))
+    d = np.zeros((n, n))
+    vertex = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=60)):
+        if i != j:
+            d[i, j] = 1.0
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrow_patterns())
+@example(np.zeros((1, 1)))
+def test_component_labels_equal_union_find(d):
+    from ncgeom.distance import _undirected_components
+
+    assert _undirected_components(d).tolist() == union_find_labels(d)
 
 
 def test_triangle_inequality_random_graphs():
@@ -597,11 +634,12 @@ def test_lengths_from_1e_2_to_1e2_are_certified(d, p, q):
 
 def test_optimizer_above_unit_norm_raises(monkeypatch):
     # a solve that closes its gap on an optimizer of commutator norm above
-    # 1 + NORM_TOL has no proven lower bound and must not be labelled certified
+    # 1 + NORM_TOL has no proven lower bound and must not be labelled certified;
+    # the solver sees TWO_POINT as TWO_POINT / 2, so its f is twice the result
     import ncgeom.distance as solver
 
     def solve(d, q):
-        return np.array([0.0, 1.0 + 2.0 * solver.NORM_TOL]), 1.0, 1, 0.0
+        return 2.0 * np.array([0.0, 1.0 + 2.0 * solver.NORM_TOL]), 1.0, 1, 0.0
 
     monkeypatch.setattr(solver, "_primal_dual_solve", solve)
     with pytest.raises(NumericError, match="commutator norm"):

@@ -40,6 +40,8 @@ TWO_POINT = np.array([[0, 1.0], [1, 0]])
 LINE = LatticeSpec((1.0,), ((0, 4),))
 PLANE = LatticeSpec((1.0, 1.0), ((0, 8), (0, 8)))
 LINE_FIELD = LatticeField(LINE, np.exp(-BUMP))
+ARROW = Digraph.from_arrows(2, [(0, 1)])
+ARROW_CALCULUS = calculus_for(ARROW)
 
 
 def two_point(entry):
@@ -65,6 +67,10 @@ ENTRY_POINTS = {
     "DistanceProblem operator": lambda v: DistanceProblem(two_point(v), 0, 1),
     "commutator_norm": lambda v: commutator_norm(TWO_POINT, np.array([0, v])),
     "Digraph vertex": lambda v: calculus_for(Digraph.from_arrows(3, [(0, v)]), 2),
+    "FormExpr vertex": lambda v: multiply(
+        FormExpr({(v,): 1}), ARROW_CALCULUS.unit(), ARROW_CALCULUS
+    ),
+    "from_digraph length": lambda v: AdjacencyMatrix.from_digraph(ARROW, {(0, 1): v}),
     "degree_cap": lambda v: calculus_for(Digraph.from_arrows(2, [(0, 1)]), v),
     "HodgeStar c0": lambda v: HodgeStar(c0=v),
     "HodgeStar c1": lambda v: HodgeStar(c1=v),
@@ -119,6 +125,8 @@ REJECTED = {
     "nan maurer_cartan": lambda: maurer_cartan(LatticeField.constant(PLANE, np.nan)),
     "-inf maurer_cartan": lambda: maurer_cartan(LatticeField.constant(PLANE, -np.inf)),
     "fractional vertex": lambda: calculus_for(Digraph.from_arrows(3, [(0, 1.5)])),
+    "fractional path vertex": lambda: FormExpr({(0.5,): 1}),
+    "bool length": lambda: AdjacencyMatrix.from_digraph(ARROW, {(0, 1): True}),
     "fractional cap": lambda: calculus_for(Digraph.from_arrows(2, [(0, 1)]), 2.5),
     "string spacing l0": lambda: TodaState(BUMP, BUMP, "0.5", 1.0),
     "complex slice": lambda: TodaState(BUMP, BUMP + 0j, 0.5, 1.0),
@@ -135,12 +143,9 @@ def test_bad_inputs_raise_validation_error(name):
         REJECTED[name]()
 
 
-# Finite inputs whose arithmetic overflows.  The distance cases are flagged,
-# not solved: their distance, about 1e-300, is a finite double.
+# Finite inputs whose arithmetic overflows.
 OVERFLOWING = {
     "1e-320 source": lambda: current_ladder(LatticeField.constant(PLANE, 1e-320)),
-    "1e300 operator": lambda: distance(DistanceProblem(two_point(1e300), 0, 1)),
-    "1e200 operator": lambda: distance(DistanceProblem(two_point(1e200), 0, 1)),
 }
 
 
@@ -148,6 +153,21 @@ OVERFLOWING = {
 def test_overflowing_inputs_raise_numeric_error(name):
     with pytest.raises(NumericError, match="non-finite"):
         OVERFLOWING[name]()
+
+
+@pytest.mark.parametrize(
+    "d",
+    [two_point(1e300), two_point(1e200), np.array([[0, 1e-300], [1e-300, 0]])],
+    ids=["1e300", "1e200", "symmetric_1e-300"],
+)
+def test_extreme_two_point_operators_bracket_the_closed_form(d):
+    # the distance of two points is 1 / max(D01, D10), a finite double here;
+    # these operators once overflowed or lost positive definiteness
+    sol = distance(DistanceProblem(d, 0, 1))
+    exact = 1.0 / max(d[0, 1], d[1, 0])
+    assert sol.status == "certified"
+    assert sol.value <= exact <= sol.upper_bound
+    assert sol.upper_bound - sol.value <= 1e-9 * sol.upper_bound
 
 
 # Validation branches that no other test reaches.
