@@ -79,9 +79,7 @@ class Digraph:
         for a in self.arrows:
             if not (isinstance(a, tuple) and len(a) == 2):
                 raise ValidationError(f"arrow {a!r} is not a pair")
-            i, j = a
-            if type(i) is not int or type(j) is not int:  # plain ints need no check
-                i, j = integer(i, "each arrow vertex"), integer(j, "each arrow vertex")
+            i, j = integer(a[0], "each arrow vertex"), integer(a[1], "each arrow vertex")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(f"arrow {a!r} out of range for {n} points")
             if i == j:

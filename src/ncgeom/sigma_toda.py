@@ -17,15 +17,15 @@ residual of J that it records anyway.
 The ladder works on value arrays, each with the lattice index of its first
 site: every current and chi of a ladder starts at the source's first site,
 and each step keeps only the window its result is defined on.  So a level
-is a few numpy expressions over that window, written into the arrays it
-returns or into two scratch buffers of the call, and lattice objects are
-built only for what `ChiLadder` returns.  `maurer_cartan`, `field_residual`,
-`potential`, `invert_star_d` and `covariant_derivative` call the same
-kernel.  Each kernel step does the arithmetic of the LatticeField
-primitives (`forward_derivative`, `shift`, `*`, `inverse`, `star`,
-`d_one_form`, `one_form_product`) in the same order, and the tests hold
-the ladder to a reference built from those primitives, byte for byte; a
-window too small for a step raises their ValidationError.
+is a few numpy expressions over that window, each step returning fresh
+arrays, and lattice objects are built only for what `ChiLadder` returns.
+`maurer_cartan`, `field_residual`, `potential`, `invert_star_d` and
+`covariant_derivative` call the same kernel.  Each kernel step does the
+arithmetic of the LatticeField primitives (`forward_derivative`, `shift`,
+`*`, `inverse`, `star`, `d_one_form`, `one_form_product`) in the same
+order, and the tests hold the ladder to a reference built from those
+primitives, byte for byte; a window too small for a step raises their
+ValidationError.
 
 The discrete Toda flow advances the newest time slice in closed form, one
 logarithm per site, and satisfies the sigma-model field equation d star A = 0
@@ -159,11 +159,6 @@ def _floats(values: np.ndarray) -> np.ndarray:
     return values.astype(np.result_type(values, 1.0), copy=False)
 
 
-def _cut(buffer, like):
-    """The corner of a scratch buffer shaped like `like`, or None for a new array."""
-    return None if buffer is None else buffer[: like.shape[0], : like.shape[1]]
-
-
 def _check_overlap(start, shape, move_a, move_b) -> None:
     """Raise the lattice's ValidationError when the window of the values,
     moved by move_a and by move_b sites on (t, x), has an empty intersection:
@@ -182,9 +177,9 @@ def _scaled(op, v, c):
     return v if c == 1.0 else op(v, c)
 
 
-def _product(p, q, out=None):
+def _product(p, q):
     """Sitewise product, the matrix product for matrix values."""
-    return np.matmul(p, q, out=out) if p.ndim > 2 else np.multiply(p, q, out=out)
+    return np.matmul(p, q) if p.ndim > 2 else np.multiply(p, q)
 
 
 def _max_abs(v) -> float:
@@ -204,25 +199,25 @@ def _d(v, start, l0, l1):
     return d0, d1
 
 
-def _curl(w0, w1, start, l0, l1, out=None, tmp=None):
+def _curl(w0, w1, start, l0, l1):
     """Coefficient of dt dx in dw, on the window of w less its last row and
-    column; `out` and `tmp` are scratch at least that large."""
+    column."""
     _check_overlap(start, w1.shape, (-1, 0), (0, 0))
     _check_overlap(start, w0.shape, (0, -1), (0, 0))
-    c = np.subtract(w1[1:, :-1], w1[:-1, :-1], out=_cut(out, w1[1:, :-1]))
+    c = np.subtract(w1[1:, :-1], w1[:-1, :-1])
     c /= l0
-    t = np.subtract(w0[:-1, 1:], w0[:-1, :-1], out=_cut(tmp, c))
+    t = np.subtract(w0[:-1, 1:], w0[:-1, :-1])
     t /= l1
     return np.subtract(c, t, out=c)
 
 
-def _d_star(J0, J1, start, l0, l1, h, out=None, tmp=None):
+def _d_star(J0, J1, start, l0, l1, h):
     """Coefficient of dt dx in d star J; its window starts one site after
     J's on both axes."""
     _check_overlap(start, J0.shape, (0, 1), (1, 0))
     s0 = _scaled(np.multiply, J1[1:, :-1], -h.c1)
     s1 = _scaled(np.multiply, J0[:-1, 1:], h.c0)
-    return _curl(s0, s1, (start[0] + 1, start[1] + 1), l0, l1, out, tmp)
+    return _curl(s0, s1, (start[0] + 1, start[1] + 1), l0, l1)
 
 
 def _inverse_star(J0, J1, start, h):
@@ -239,7 +234,7 @@ def _edge_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _potential(w0, w1, start, l0, l1, tmp=None):
+def _potential(w0, w1, start, l0, l1):
     """chi = the edge sums of w from the window corner, first in time, then
     in space, on w's window, and (d_0 chi, d_1 chi) from `_d`.  NumericError
     unless max|d chi - w| <= CLOSEDNESS_TOL."""
@@ -250,20 +245,20 @@ def _potential(w0, w1, start, l0, l1, tmp=None):
     chi += l0 * _edge_sums(w0[:, 0])[:, None]
     d0, d1 = _d(chi, start, l0, l1)
     miss = np.maximum(
-        _max_abs(np.subtract(d0, w0[:-1, :-1], out=_cut(tmp, d0))),
-        _max_abs(np.subtract(d1, w1[:-1, :-1], out=_cut(tmp, d1))),
+        _max_abs(np.subtract(d0, w0[:-1, :-1])),
+        _max_abs(np.subtract(d1, w1[:-1, :-1])),
     )
     if not miss <= CLOSEDNESS_TOL:
         raise NumericError(f"one-form is not closed; residual {miss:.3e}")
     return chi, d0, d1
 
 
-def _covariant(chi, d0, d1, A0, A1, tmp=None):
+def _covariant(chi, d0, d1, A0, A1):
     """D chi = d chi + A chi, chi commuted past the differentials, written
     over (d0, d1); A starts where chi does and covers d chi's window."""
     n, m = d0.shape[:2]
-    d0 += _product(A0[:n, :m], chi[1:, :-1], out=_cut(tmp, d0))
-    d1 += _product(A1[:n, :m], chi[:-1, 1:], out=_cut(tmp, d1))
+    d0 += _product(A0[:n, :m], chi[1:, :-1])
+    d1 += _product(A1[:n, :m], chi[:-1, 1:])
     return d0, d1
 
 
@@ -275,9 +270,7 @@ def _connection(a: LatticeField):
     v = _floats(finite_array(a.values, "the source"))
     start, (l0, l1) = _start(a.spec), a.spec.spacings
     ainv = invert_values(v, a.spec.window)[:-1, :-1]
-    A0, A1 = (
-        _product(ainv, d, out=None if d.ndim > 2 else d) for d in _d(v, start, l0, l1)
-    )
+    A0, A1 = (_product(ainv, d) for d in _d(v, start, l0, l1))
     flat = _curl(A0, A1, start, l0, l1)
     aa = _product(A0[:-1, :-1], A1[1:, :-1])
     aa -= _product(A1[:-1, :-1], A0[:-1, 1:])
@@ -379,15 +372,16 @@ def current_ladder(
     CLOSEDNESS_TOL |c0 c1|.  Each level consumes window layers; if the window
     runs out before m_max the ladder returns its complete levels with a note.
     Every current and chi starts at the source's first site, so the kernel
-    works on their value arrays and two scratch buffers of this call.
+    works on their value arrays.  chi^(0), the identity on the whole window,
+    is the largest array of the ladder; it is made after the last level, so
+    it does not add to the memory the levels' arrays take at their peak.
     """
     if integer(m_max, "m_max") < 1:
         raise ValidationError("m_max must be at least 1")
     A = maurer_cartan(a).one_form
     J0, J1 = A0, A1 = A.components[0].values, A.components[1].values
     start, (l0, l1) = _start(a.spec), a.spec.spacings
-    out, tmp = np.empty_like(A0), np.empty_like(A0)
-    resid = _max_abs(_d_star(A0, A1, start, l0, l1, h, out, tmp))
+    resid = _max_abs(_d_star(A0, A1, start, l0, l1, h))
     if not resid <= FIELD_EQ_TOL:
         raise NumericError(
             f"field equation residual {resid:.3e} exceeds {FIELD_EQ_TOL:.1e}; "
@@ -399,16 +393,15 @@ def current_ladder(
             raise NumericError(f"J^({m - 1}) is not conserved; residual {resid:.3e}")
         try:
             w0, w1 = _inverse_star(J0, J1, start, h)
-            chi, J0, J1 = _potential(w0, w1, start, l0, l1, tmp)
-            J0, J1 = _covariant(chi, J0, J1, A0, A1, tmp)
-            resid = _max_abs(_d_star(J0, J1, start, l0, l1, h, out, tmp))
+            chi, J0, J1 = _potential(w0, w1, start, l0, l1)
+            J0, J1 = _covariant(chi, J0, J1, A0, A1)
+            resid = _max_abs(_d_star(J0, J1, start, l0, l1, h))
         except ValidationError as exc:
             ladder.note = f"window exhausted at level {m}: {exc}"
             break
         ladder.chis.append(_field(a.spec, start, chi))
         ladder.currents.append(_one_form(a.spec, start, J0, J1))
         ladder.residuals.append(resid)
-    del out, tmp  # freed before the identity, the largest array, is made
     ladder.chis.insert(0, LatticeField.identity(a.spec, a.matrix_dim))
     return ladder
 

@@ -495,6 +495,14 @@ def test_stalled_solve_raises(monkeypatch):
         distance(DistanceProblem(FIG1, 0, 2))
 
 
+def test_singular_schur_matrix_raises_numeric_error(monkeypatch):
+    import ncgeom.distance as solver
+
+    monkeypatch.setattr(solver, "_schur", lambda d, x, s_inv: np.zeros(d.shape))
+    with pytest.raises(NumericError, match="positive definiteness"):
+        distance(DistanceProblem(FIG1, 0, 2))
+
+
 def random_positive_definite(rng, dim):
     a = rng.normal(size=(dim, dim))
     return a @ a.T + 0.1 * np.eye(dim)

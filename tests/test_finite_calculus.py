@@ -180,6 +180,14 @@ def test_d_squared_zero_on_all_low_degree_basis_forms():
                 assert not d2, (calc.graph.arrows, path)
 
 
+def test_form_degree_and_repr():
+    mixed = FormExpr({(0,): 2, (1, 0): Fraction(1, 3), (0, 1): -1})
+    assert mixed.degree is None and FormExpr().degree is None
+    assert FormExpr({(0, 1): 1, (1, 2): 1}).degree == 1
+    assert repr(mixed) == "FormExpr(2*e[0] + -1*e[0, 1] + Fraction(1, 3)*e[1, 0])"
+    assert repr(FormExpr()) == "FormExpr(0)"
+
+
 def test_fig1_reduced_differential_of_e01():
     calc = fig1_calculus()
     d = calc.differential(FormExpr.from_path((0, 1)))

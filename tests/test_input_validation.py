@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgeom.distance import DistanceProblem, commutator_norm, distance, distance_matrix
+from ncgeom.distance import (
+    DistanceProblem,
+    commutator_norm,
+    distance,
+    distance_matrix,
+    oracle_distance,
+)
 from ncgeom.errors import NumericError, ValidationError
 from ncgeom.finite_calculus import (
     Digraph,
@@ -186,6 +192,12 @@ UNREACHED = {
         [1, 2], calculus_for(Digraph.from_arrows(3, [(0, 1)]))
     ),
     "window dimension": lambda: LatticeSpec((1.0, 1.0), ((0, 3),)),
+    "window not pairs": lambda: LatticeSpec((1.0,), ((0, 3, 5),)),
+    "windows across dimensions": lambda: LINE_FIELD + LatticeField.constant(PLANE, 1.0),
+    "ragged chain": lambda: toda_force([[0.0], [0.0, 1.0]], 1.0),
+    "complex oracle above 4 points": lambda: oracle_distance(
+        DistanceProblem(np.diag(np.ones(4), 1), 0, 1), complex_functions=True
+    ),
     "field shape": lambda: LatticeField(LINE, np.zeros(3)),
     "non-square field values": lambda: LatticeField(LINE, np.zeros((4, 2, 3))),
     "index outside window": lambda: LINE_FIELD[4],

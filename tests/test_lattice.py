@@ -155,6 +155,8 @@ def test_matrix_field_multiplication():
     s = LatticeField(spec, np.array([2.0, 3.0, 4.0]))
     scaled = s * a
     assert np.allclose(scaled.values[2], 4.0 * a.values[2])
+    # a matrix field times a scalar field scales each site's matrix too
+    assert np.array_equal((a * s).values, s.values[:, None, None] * a.values)
 
 
 def test_matrix_field_inverse_reports_site():

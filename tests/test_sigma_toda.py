@@ -186,6 +186,17 @@ def test_flatness_holds_for_generic_sources():
     assert maurer_cartan(LatticeField(spec, mats)).flatness_residual < 1e-12
 
 
+def test_flatness_past_the_tolerance_raises(monkeypatch):
+    import ncgeom.sigma_toda as sigma
+
+    a = toda_solution_field()
+    flat = maurer_cartan(a).flatness_residual
+    assert flat > 0.0
+    monkeypatch.setattr(sigma, "FLATNESS_TOL", flat / 2)
+    with pytest.raises(NumericError, match="flatness residual"):
+        maurer_cartan(a)
+
+
 def test_singular_source_rejected():
     spec = two_dim_spec(1.0, 1.0, (0, 2), (0, 2))
     vals = np.ones((2, 2))
@@ -441,8 +452,16 @@ def offset_source():
         (lambda: toda_solution_field(n_sites=6, steps=4, amp=0.1), HodgeStar(), 5),
         (lambda: toda_solution_field(n_sites=16, steps=50), HodgeStar(2.0, -2.0), 3),
         (offset_source, HodgeStar(), 3),
+        (matrix_source, HodgeStar(2.0, -2.0), 3),
     ],
-    ids=["bump16x50", "block_diagonal", "exhausted6x4", "star2", "offset_window"],
+    ids=[
+        "bump16x50",
+        "block_diagonal",
+        "exhausted6x4",
+        "star2",
+        "offset_window",
+        "block_diagonal_star2",
+    ],
 )
 def test_ladder_matches_the_lattice_primitives_byte_for_byte(source, h, m_max):
     a = source()
