@@ -11,6 +11,8 @@ semidefinite program
 
 C(f) = D o (f_j - f_i).  Its dual is min tr(X) s.t. tr(X B_k) = -delta_kq for
 k != p, X >= 0, and f(q) = tr(X) - tr(X M(f)) <= tr(X) by weak duality.
+`distance` puts p first, and the iteration runs on the n - 1 free values
+f_k: only `_lmi`, `_lmi_adjoint` and `_schur` know which point is pinned.
 The distance scales as 1/D, so `distance` solves on D 2^-s, with s the
 binary exponent of max|D|, and scales f and the bound back by 2^-s.  That
 is exact: no operator overflows, and D and 2^k D give the same iterates.
@@ -137,18 +139,19 @@ def _undirected_components(d: np.ndarray) -> np.ndarray:
     return reach.argmax(axis=1)
 
 
-def _lmi(d: np.ndarray, f: np.ndarray, identity: float = 1.0) -> np.ndarray:
-    """identity * I + sum_k f_k B_k, the 2n x 2n block form of [D, f]."""
+def _lmi(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k B_k over the free points k = 1 .. n-1, the 2n x 2n block
+    form of [D, f] for f = (0, c): point 0 is the pinned one."""
     n = d.shape[0]
-    c = _commutator(d, f)
-    m = identity * np.eye(2 * n)
-    m[:n, n:] = c
-    m[n:, :n] = c.T
+    com = _commutator(d, np.concatenate(([0.0], c)))
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, n:] = com
+    m[n:, :n] = com.T
     return m
 
 
 def _lmi_adjoint(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """tr(X B_k) for every k.
+    """tr(X B_k) for every free k.
 
     B_k has the blocks A_k = D[:, k] e_k^T - e_k D[k, :] and A_k^T, so
     tr(X B_k) = <Y, A_k> with Y = X_12 + X_21^T: column sum minus row sum
@@ -156,11 +159,12 @@ def _lmi_adjoint(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     n = d.shape[0]
     dy = d * (x[:n, n:] + x[n:, :n].T)
-    return dy.sum(axis=0) - dy.sum(axis=1)
+    return (dy.sum(axis=0) - dy.sum(axis=1))[1:]
 
 
 def _schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-    """H_kl = tr(X B_k S^-1 B_l), the Schur matrix of the HKM direction.
+    """H_kl = tr(X B_k S^-1 B_l) over the free k and l, the Schur matrix of
+    the HKM direction.
 
     B_k = L_k J L_k^T with L_k = [P D[:, k], Q e_k, P e_k, Q D[k, :]^T],
     where P and Q embed R^n as the top and bottom half of R^2n and J swaps
@@ -176,7 +180,7 @@ def _schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
     top, bot = m[..., :n], m[..., n:]
     ml = np.concatenate([top @ d, bot, top, bot @ d.T], axis=2)
     k = np.concatenate([ml[:, n:], d.T @ ml[:, :n], -(d @ ml[:, n:]), -ml[:, :n]], axis=1)
-    return (k[1] * k[0].T).reshape(4, n, 4, n).sum(axis=(0, 2))
+    return (k[1] * k[0].T).reshape(4, n, 4, n).sum(axis=(0, 2))[1:, 1:]
 
 
 def _applied_schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray, h: np.ndarray):
@@ -188,17 +192,14 @@ def _applied_schur(d: np.ndarray, x: np.ndarray, s_inv: np.ndarray, h: np.ndarra
     cancel inside columns dominated by stiff ones (near 1e14).  O(n^4).
     """
     basis = np.linalg.eigh(h)[1]
-    g = np.array([
-        _lmi_adjoint(d, x @ _lmi(d, np.concatenate(([0.0], v)), identity=0.0) @ s_inv)[1:]
-        for v in basis.T
-    ]).T
+    g = np.array([_lmi_adjoint(d, x @ _lmi(d, v) @ s_inv) for v in basis.T]).T
     scale = np.linalg.norm(g, axis=0)
     return basis / scale, g / scale
 
 
 def _hkm_direction(d, x, s_inv, df, r):
     """dS = sum_k df_k B_k over the free k and the HKM step dX = sym(R - X dS S^-1) - X."""
-    ds = _lmi(d, np.concatenate(([0.0], df)), identity=0.0)
+    ds = _lmi(d, df)
     dx = r - x @ ds @ s_inv
     return ds, 0.5 * (dx + dx.T) - x
 
@@ -219,7 +220,7 @@ def _repaired(d: np.ndarray, x: np.ndarray, infeasible: np.ndarray) -> np.ndarra
     w = w + w.T
     gram = 2.0 * (np.diag(w.sum(axis=1)) - w)[1:, 1:]
     c = np.linalg.solve(gram, infeasible)
-    return x + _lmi(d, np.concatenate(([0.0], c)), identity=0.0)
+    return x + _lmi(d, c)
 
 
 def _floored(f: np.ndarray) -> np.ndarray:
@@ -231,59 +232,60 @@ def _floored(f: np.ndarray) -> np.ndarray:
 
 
 def _primal_dual_solve(d: np.ndarray, q: int):
-    """Certified max f(q) s.t. M(f) >= 0 with f(0) = 0 on a connected D:
-    (f, upper_bound, iterations, residual) with M(f) positive definite and f
-    floored, so the stop test judges the value that is returned."""
+    """Certified max f(q) s.t. M(f) >= 0 on a connected D, iterated on the
+    free values f_1 .. f_n-1 with q indexing them: (f, upper_bound,
+    iterations, residual) with f(0) = 0 put back, M(f) positive definite and
+    f floored, so the stop test judges the value that is returned."""
     n = d.shape[0]
     dim = 2 * n
-    target = np.eye(n - 1)[q - 1]  # delta_kq over the free k = 1 .. n-1
-    f = np.zeros(n)
+    target = np.eye(n - 1)[q]  # delta_kq over the free k
+    f = np.zeros(n - 1)
     xs = np.array([np.eye(dim), np.eye(dim)])  # the iterates X and S = M(f)
     x, s = xs
     for iteration in range(MAX_NEWTON_STEPS + 1):
-        infeasible = -_lmi_adjoint(d, x)[1:] - target  # r_p = -delta_q - A(X)
+        infeasible = -_lmi_adjoint(d, x) - target  # r_p = -delta_q - A(X)
         upper = float(x.trace())  # also the repaired trace
         if upper - f[q] <= DEFAULT_TOL * upper:
             floored = _floored(f)
             cert = _repaired(d, x, infeasible)
-            residual = float(np.abs(_lmi_adjoint(d, cert)[1:] + target).max())
+            residual = float(np.abs(_lmi_adjoint(d, cert) + target).max())
             # a negative eigenvalue -e of the certificate is absorbed by
             # cert + e I, which every tr(. B_k) ignores
             bound = upper + dim * max(0.0, -float(np.linalg.eigvalsh(cert)[0]))
             gap = bound - floored[q]
             if residual <= RESIDUAL_TOL and 0.0 <= gap <= DEFAULT_TOL * bound:
-                return floored, bound, iteration, residual
+                return np.append(0.0, floored), bound, iteration, residual
         if iteration == MAX_NEWTON_STEPS:
             break
         try:
             chol_inv = np.linalg.inv(np.linalg.cholesky(xs))
             s_inv = chol_inv[1].T @ chol_inv[1]
-            h = _schur(d, x, s_inv)[1:, 1:]
+            h = _schur(d, x, s_inv)
             h_inv = np.linalg.inv(h)
         except np.linalg.LinAlgError as exc:
             raise NumericError("primal-dual iterate lost positive definiteness") from exc
         mu = float(np.vdot(x, s)) / dim
         # predictor: the affine-scaling direction toward mu = 0, df = H^-1 delta_q
-        ds_a, dx_a = _hkm_direction(d, x, s_inv, h_inv[:, q - 1], 0.0)
+        ds_a, dx_a = _hkm_direction(d, x, s_inv, h_inv[:, q], 0.0)
         step_a = min(1.0, _step_to_boundary(chol_inv, dx_a, ds_a))
         mu_a = float(np.vdot(x + step_a * dx_a, s + step_a * ds_a)) / dim
         # corrector: centering at sigma mu plus the second-order term
         r = (mu_a / mu) ** 3 * mu * s_inv - dx_a @ ds_a @ s_inv
-        df = h_inv @ (_lmi_adjoint(d, r)[1:] + target)
+        df = h_inv @ (_lmi_adjoint(d, r) + target)
         ds, dx = _hkm_direction(d, x, s_inv, df, r)
         # each pass takes out the part of r_p that A(dX) misses
-        correction = h_inv @ (infeasible - _lmi_adjoint(d, dx)[1:])
+        correction = h_inv @ (infeasible - _lmi_adjoint(d, dx))
         for refinement in range(REFINEMENT_PASSES + 1):
-            dm = _lmi(d, np.concatenate(([0.0], correction)), identity=0.0)
+            dm = _lmi(d, correction)
             gain = x @ dm @ s_inv
             df -= correction
             ds -= dm
             dx += 0.5 * (gain + gain.T)
-            miss = infeasible - _lmi_adjoint(d, dx)[1:]
+            miss = infeasible - _lmi_adjoint(d, dx)
             # enough once the miss moves tr(X) - f(q) = tr(XS) + f . r_p by
             # less than a tenth of the stop tolerance
             if refinement == REFINEMENT_PASSES or (
-                np.abs(f[1:]) @ np.abs(miss) <= 0.1 * DEFAULT_TOL * upper
+                np.abs(f) @ np.abs(miss) <= 0.1 * DEFAULT_TOL * upper
             ):
                 break
             try:
@@ -295,8 +297,9 @@ def _primal_dual_solve(d: np.ndarray, q: int):
         # 90-99% of the way to the boundary, more when the predictor went far
         step = min(1.0, (0.9 + 0.09 * step_a) * _step_to_boundary(chol_inv, dx, ds))
         x += step * dx
-        f[1:] += step * df
+        f += step * df
         s[:] = _lmi(d, f)
+        np.fill_diagonal(s, 1.0)
     raise NumericError(f"no certificate after {MAX_NEWTON_STEPS} iterations")
 
 
@@ -328,12 +331,13 @@ def distance(prob: DistanceProblem) -> DistanceSolution:
         )
     # other components only add directions along which nothing changes
     comp = np.flatnonzero(labels == labels[p])
-    comp = np.concatenate(([p], comp[comp != p]))  # f(p) = 0 is pinned first
+    free = comp[comp != p]
+    comp = np.concatenate(([p], free))  # f(p) = 0 is pinned first
     sub = d[np.ix_(comp, comp)]
     # the solve runs on D 2^-s with max|D| 2^-s in [0.5, 1)
     s = math.frexp(float(np.abs(sub).max()))[1]
     f, upper, iterations, residual = _primal_dual_solve(
-        np.ldexp(sub, -s), int(np.flatnonzero(comp == q)[0])
+        np.ldexp(sub, -s), int(np.flatnonzero(free == q)[0])
     )
     optimizer = np.zeros(n)
     optimizer[comp] = np.ldexp(f, -s)
@@ -372,8 +376,7 @@ _GRID_SIZES = {1: 4001, 2: 61, 3: 25, 4: 13, 5: 9}
 
 
 def _oracle_ratio_batch(d, p, q, fs):
-    c = d[None, :, :] * (fs[:, None, :] - fs[:, :, None])
-    s = np.linalg.svd(c, compute_uv=False)[:, 0]
+    s = np.linalg.svd(_commutator(d, fs), compute_uv=False)[:, 0]
     num = fs[:, q] - fs[:, p]
     num = np.abs(num) if np.iscomplexobj(fs) else num
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -424,10 +427,6 @@ def _compass_polish(batch_fun, x0, step):
         else:
             step *= 0.5
     return x, best
-
-
-def _grid_axes(center, half_width, m):
-    return [np.linspace(c - hw, c + hw, m) for c, hw in zip(center, half_width)]
 
 
 def oracle_distance(prob: DistanceProblem, complex_functions: bool = False) -> float:
@@ -483,7 +482,7 @@ def oracle_distance(prob: DistanceProblem, complex_functions: bool = False) -> f
     best_val = -math.inf
     seeds = []
     for pass_index in range(ORACLE_PASSES):
-        axes = _grid_axes(center, half_width, m)
+        axes = [np.linspace(c - hw, c + hw, m) for c, hw in zip(center, half_width)]
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([g.ravel() for g in mesh], axis=1)
         vals = np.empty(coords.shape[0])

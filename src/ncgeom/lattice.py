@@ -127,10 +127,15 @@ class LatticeField:
         return self.values.shape[-1] if self.is_matrix else None
 
     def __getitem__(self, index):
-        """Value at an absolute lattice index tuple."""
-        if self.spec.n == 1 and isinstance(index, int):
+        """Value at an absolute lattice index: a tuple of `spec.n` integers,
+        or one integer on a 1-D field."""
+        if not isinstance(index, tuple):
             index = (index,)
-        rel = tuple(i - lo for i, (lo, _) in zip(index, self.spec.window))
+        if len(index) != self.spec.n:
+            raise ValidationError(f"index {index} must have {self.spec.n} coordinates")
+        rel = tuple(
+            integer(i, "each lattice index") - lo for i, (lo, _) in zip(index, self.spec.window)
+        )
         for r, size in zip(rel, self.spec.shape):
             if not 0 <= r < size:
                 raise ValidationError(f"index {index} outside window {self.spec.window}")
@@ -146,6 +151,9 @@ class LatticeField:
 
     def shift(self, axis: int, steps: int = 1) -> "LatticeField":
         """Field g(i) = f(i + steps on the axis), on the translated window."""
+        if not 0 <= integer(axis, "the shift axis") < self.spec.n:
+            raise ValidationError(f"shift axis {axis} outside 0 .. {self.spec.n - 1}")
+        steps = integer(steps, "the shift steps")
         lo, hi = self.spec.window[axis]
         new = list(self.spec.window)
         new[axis] = (lo - steps, hi - steps)

@@ -71,7 +71,7 @@ class DoubledOperator:
 
     def represent(self, values) -> np.ndarray:
         """The doubled diagonal representation of a function."""
-        f = np.asarray(values)
+        f = finite_array(values, "function values", kinds="iufc")
         if f.shape != (self.n_points,):
             raise ValidationError("function length must match the point count")
         return represent_function(np.concatenate([f, f]))
@@ -119,8 +119,9 @@ def commutator_differential(matrix, values) -> np.ndarray:
 
 
 def _commutator(d: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """[D, f] of a matrix and a checked function, for solvers' inner loops."""
-    return d * (f[None, :] - f[:, None])
+    """[D, f] of a matrix and a checked function, or of a stack of them, for
+    solvers' inner loops."""
+    return d * (f[..., None, :] - f[..., :, None])
 
 
 def double(matrix) -> DoubledOperator:

@@ -515,7 +515,7 @@ def test_schur_matrix_matches_definitions():
     n = 5
     d = (rng.random((n, n)) < 0.6) * rng.uniform(0.4, 2.0, size=(n, n))
     np.fill_diagonal(d, 0.0)
-    b = [_lmi(d, np.eye(n)[k], identity=0.0) for k in range(n)]
+    b = [_lmi(d, e) for e in np.eye(n - 1)]  # B_k over the free k, point 0 pinned
     # two different positive definite matrices X and S^-1
     x = random_positive_definite(rng, 2 * n)
     s_inv = random_positive_definite(rng, 2 * n)
@@ -523,9 +523,9 @@ def test_schur_matrix_matches_definitions():
     assert np.allclose(_schur(d, x, s_inv), schur, rtol=1e-12, atol=1e-12)
     assert np.allclose(_lmi_adjoint(d, x), [np.trace(x @ bk) for bk in b], rtol=1e-12, atol=1e-12)
     # X = S^-1 = M(f)^-1: the gradient and Hessian of -log det M
-    f = rng.normal(size=n)
-    f /= 2.0 * commutator_norm(d, f)
-    w = np.linalg.inv(_lmi(d, f))
+    f = rng.normal(size=n - 1)
+    f /= 2.0 * commutator_norm(d, np.append(0.0, f))
+    w = np.linalg.inv(np.eye(2 * n) + _lmi(d, f))
     grad = [np.trace(w @ bk) for bk in b]
     hess = [[np.trace(w @ bk @ w @ bl) for bl in b] for bk in b]
     assert np.allclose(_lmi_adjoint(d, w), grad, rtol=1e-12, atol=1e-12)
@@ -542,8 +542,8 @@ def test_repair_meets_the_constraints_and_keeps_the_trace():
     np.fill_diagonal(d, 0.0)
     x = random_positive_definite(rng, 2 * n)
     target = rng.normal(size=n - 1)
-    cert = _repaired(d, x, target - _lmi_adjoint(d, x)[1:])
-    assert np.allclose(_lmi_adjoint(d, cert)[1:], target, rtol=0, atol=1e-10)
+    cert = _repaired(d, x, target - _lmi_adjoint(d, x))
+    assert np.allclose(_lmi_adjoint(d, cert), target, rtol=0, atol=1e-10)
     assert np.array_equal(np.diag(cert), np.diag(x))
 
 
@@ -638,6 +638,22 @@ def test_lengths_from_1e_2_to_1e2_are_certified(d, p, q):
     assert sol.value <= sol.upper_bound <= sol.value * (1 + 1e-9)
     assert sol.residual <= RESIDUAL_TOL
     assert commutator_norm(d, sol.optimizer) <= 1.0 + 1e-9
+
+
+def test_singular_refinement_matrix_raises_numeric_error(monkeypatch):
+    # SIX_POINT_A pair (1, 3) needs the refinement through _applied_schur
+    import ncgeom.distance as solver
+
+    shapes = []
+
+    def singular(d, x, s_inv, h):
+        shapes.append(h.shape)
+        return np.eye(h.shape[0]), np.zeros(h.shape)
+
+    monkeypatch.setattr(solver, "_applied_schur", singular)
+    with pytest.raises(NumericError, match="singular Schur matrix in the refinement"):
+        distance(DistanceProblem(SIX_POINT_A, 1, 3))
+    assert shapes == [(4, 4)]  # point 4 is isolated, so four points are free
 
 
 def test_optimizer_above_unit_norm_raises(monkeypatch):

@@ -188,6 +188,12 @@ def test_form_degree_and_repr():
     assert repr(FormExpr()) == "FormExpr(0)"
 
 
+def test_forms_do_not_mix_with_numbers():
+    assert (FormExpr() == 0) is False
+    with pytest.raises(TypeError):
+        FormExpr() + 1
+
+
 def test_fig1_reduced_differential_of_e01():
     calc = fig1_calculus()
     d = calc.differential(FormExpr.from_path((0, 1)))

@@ -27,7 +27,7 @@ from ncgeom.finite_calculus import (
     multiply,
 )
 from ncgeom.lattice import LatticeField, LatticeOneForm, LatticeSpec, StructureTensor
-from ncgeom.matrix_rep import AdjacencyMatrix, base_matrix, double
+from ncgeom.matrix_rep import AdjacencyMatrix, base_matrix, double, verify_triple
 from ncgeom.sigma_toda import (
     HodgeStar,
     TodaState,
@@ -46,6 +46,7 @@ TWO_POINT = np.array([[0, 1.0], [1, 0]])
 LINE = LatticeSpec((1.0,), ((0, 4),))
 PLANE = LatticeSpec((1.0, 1.0), ((0, 8), (0, 8)))
 LINE_FIELD = LatticeField(LINE, np.exp(-BUMP))
+PLANE_FIELD = LatticeField.constant(PLANE, 1.0)
 ARROW = Digraph.from_arrows(2, [(0, 1)])
 ARROW_CALCULUS = calculus_for(ARROW)
 
@@ -91,6 +92,11 @@ ENTRY_POINTS = {
     "discrete_continuum_orders": lambda v: discrete_continuum_orders(
         np.full(4, v), np.zeros(4)
     ),
+    "LatticeField index": lambda v: PLANE_FIELD[(v, 0)],
+    "1-D LatticeField index": lambda v: LINE_FIELD[v],
+    "LatticeField shift axis": lambda v: PLANE_FIELD.shift(v),
+    "LatticeField shift steps": lambda v: PLANE_FIELD.shift(0, v),
+    "verify_triple function": lambda v: verify_triple(double(TWO_POINT), [[0.0, v]]),
 }
 
 
@@ -113,6 +119,9 @@ REJECTED = {
     "empty operator matrix": lambda: distance_matrix(np.zeros((0, 0))),
     "nan operator matrix": lambda: distance_matrix(np.array([[np.nan]])),
     "nan function": lambda: commutator_norm(TWO_POINT, [0.0, np.nan]),
+    "nan triple function": lambda: verify_triple(double(TWO_POINT), [[0.0, np.nan]]),
+    "short lattice index": lambda: PLANE_FIELD[(1,)],
+    "long lattice index": lambda: PLANE_FIELD[(1, 2, 3)],
     "bool window bound": lambda: LatticeSpec((1.0,), ((False, 3),)),
     "string spacing": lambda: LatticeSpec(("0.5",), ((0, 3),)),
     "bool spacing": lambda: LatticeSpec((True,), ((0, 3),)),

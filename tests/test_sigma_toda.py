@@ -602,6 +602,48 @@ def test_energy_nearly_conserved():
     assert np.max(np.abs(energies - energies[0])) < 1e-10
 
 
+def flaschka_lax(q, p, l1, boundary):
+    """Flaschka's symmetric Lax matrix of each row of a Toda run: b_k = -p_k/2
+    on the diagonal and a_k = e^{(q_k - q_{k+1})/2} / (2 l1) beside it, the
+    wrap bond in the corners.  Open ends drop the wrap bond, and fixed walls
+    are the odd reflection onto a periodic chain of 2n + 2 sites."""
+    if boundary == "fixed":
+        zero = np.zeros((len(q), 1))
+        q = np.hstack([zero, q, zero, -q[:, ::-1]])
+        p = np.hstack([zero, p, zero, -p[:, ::-1]])
+    n = q.shape[1]
+    a = np.exp((q - np.roll(q, -1, axis=1)) / 2.0) / (2.0 * l1)
+    if boundary == "open":
+        a[:, -1] = 0.0
+    lax = np.zeros((len(q), n, n))
+    k = np.arange(n)
+    lax[:, k, k] = -p / 2.0
+    lax[:, k, (k + 1) % n] = lax[:, (k + 1) % n, k] = a
+    return lax
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_continuum_flow_keeps_its_lax_traces_to_fourth_order(boundary):
+    # The traces tr L^k are integrals of motion of the Toda chain, so the
+    # flow is integrable; the integrator is fourth order, so their drift
+    # over a run falls 16-fold each time h halves.  Under fixed walls the
+    # reflected L is similar to -L, and its odd traces vanish.
+    q0 = gaussian_bump(7, amp=0.6, center=2.5)
+    p0 = 0.3 * np.cos(np.arange(7))
+    powers = (2, 4) if boundary == "fixed" else (2, 3, 4, 5)
+    drifts = []
+    for h in (0.02, 0.01, 0.005):
+        traj = toda_integrate(q0, p0, 2.0, h, l1=0.8, boundary=boundary)
+        lax = flaschka_lax(traj.q, traj.p, 0.8, boundary)
+        traces = {k: np.trace(np.linalg.matrix_power(lax, k), axis1=1, axis2=2)
+                  for k in range(2, 6)}
+        drifts.append([np.max(np.abs(traces[k] - traces[k][0])) for k in powers])
+        if boundary == "fixed":
+            assert np.max(np.abs([traces[3], traces[5]])) < 1e-13
+    ratios = np.array(drifts[:-1]) / np.array(drifts[1:])
+    assert np.all((12.0 <= ratios) & (ratios <= 20.0)), ratios
+
+
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_force_is_minus_energy_gradient(boundary):
     q = 0.5 * np.random.default_rng(8).normal(size=6)
