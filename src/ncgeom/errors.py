@@ -49,6 +49,18 @@ def positive_real(value, what: str) -> float:
     return v
 
 
+def finite_number(value, what: str):
+    """`value` as it is; ValidationError naming it unless it is a finite real
+    or complex number, not a bool.  Ints and Fractions pass unchanged, so
+    exact arithmetic on them stays exact."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex) or not (
+        isinstance(value, numbers.Rational)  # finite; float() overflows on huge ints
+        or math.isfinite(value.real) and math.isfinite(value.imag)
+    ):
+        raise ValidationError(f"{what} {value!r} must be a finite real or complex number")
+    return value
+
+
 def finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
     """`values` as an array; ValidationError unless its dtype kind is one of
     `kinds` (ints and floats by default, "iufc" admits complex) and every

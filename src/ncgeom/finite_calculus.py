@@ -16,7 +16,11 @@ words; a degree's path list is enumerated when it is first read.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
-whenever the inputs are exact.
+whenever the inputs are exact.  No sum starts from an implicit zero and no
+sign is applied by multiplying by +1 or -1: a path met for the first time
+takes its term as it is, a sign is applied as `-c`, and a column new to a
+row takes `-(c * v)`.  Over `Fraction`s each implicit-zero step would be a
+full operation that only re-creates a value already at hand.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError, integer
+from .errors import ValidationError, finite_number, integer
 
 logger = logging.getLogger(__name__)
 
@@ -158,7 +162,8 @@ class FormExpr:
             return NotImplemented
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
+            old = out.get(p)
+            out[p] = c if old is None else old + c
         return FormExpr(out)
 
     def __rmul__(self, scalar):
@@ -174,15 +179,24 @@ class FormExpr:
 
 
 def _subtract(row: dict, c, prow: dict, lead: Path) -> None:
-    """row -= c * prow on every column but `lead`, dropping zero entries."""
+    """row -= c * prow on every column but `lead`, dropping zero entries.
+
+    A column new to `row` gets -(c * v), stored only when nonzero: a float
+    product can underflow to 0.0."""
     for p, v in prow.items():
         if p == lead:
             continue
-        nv = row.get(p, 0) - c * v
+        old = row.get(p)
+        if old is None:
+            nv = -(c * v)
+            if nv:
+                row[p] = nv
+            continue
+        nv = old - c * v
         if nv:
             row[p] = nv
         else:
-            row.pop(p, None)
+            del row[p]
 
 
 def _rref(rows: list[dict]) -> dict:
@@ -202,8 +216,10 @@ def _rref(rows: list[dict]) -> dict:
             lead = min(row)
             if lead not in pivots:
                 c = row[lead]
-                if c != 1:
-                    inv = -1 if c == -1 else Fraction(1) / c
+                if c == -1:
+                    row = {p: -v for p, v in row.items()}
+                elif c != 1:
+                    inv = Fraction(1) / c
                     row = {p: v * inv for p, v in row.items()}
                 pivots[lead] = row
                 break
@@ -463,7 +479,9 @@ class ReducedCalculus:
                 if P[-1] != Q[0]:
                     continue
                 path = P + Q[1:]
-                out[path] = out.get(path, 0) + ca * cb
+                term = ca * cb
+                old = out.get(path)
+                out[path] = term if old is None else old + term
         return self._normalized(out)
 
     def differential(self, a: FormExpr) -> FormExpr:
@@ -472,8 +490,9 @@ class ReducedCalculus:
         self._require_valid(a)
         out = {}
         for P, c in a.terms.items():
+            signed = (c, -c)
             for pos in range(len(P) + 1):
-                term = (1 if pos % 2 == 0 else -1) * c
+                term = signed[pos % 2]
                 if pos == 0:
                     mids = self._in[P[0]]
                 elif pos == len(P):
@@ -483,15 +502,18 @@ class ReducedCalculus:
                     mids = [j for j in self._out[P[pos - 1]] if (j, right) in self._arrows]
                 for j in mids:
                     path = P[:pos] + (j,) + P[pos:]
-                    out[path] = out.get(path, 0) + term
+                    old = out.get(path)
+                    out[path] = term if old is None else old + term
         return self._normalized(out)
 
     def function_differential(self, values: Sequence) -> FormExpr:
-        """df as a 1-form: sum over arrows of [f(j) - f(i)] e_ij."""
+        """df as a 1-form: sum over arrows of [f(j) - f(i)] e_ij, for finite
+        real or complex values; ints and Fractions give exact coefficients."""
         if len(values) != self.graph.n:
             raise ValidationError(
                 f"need one value per point, got {len(values)} for {self.graph.n}"
             )
+        values = [finite_number(v, "function value") for v in values]
         out = {}
         for (i, j) in sorted(self._arrows):
             c = values[j] - values[i]

@@ -71,10 +71,10 @@ class DoubledOperator:
 
     def represent(self, values) -> np.ndarray:
         """The doubled diagonal representation of a function."""
-        f = finite_array(values, "function values", kinds="iufc")
-        if f.shape != (self.n_points,):
+        f = np.diagonal(represent_function(values))
+        if len(f) != self.n_points:
             raise ValidationError("function length must match the point count")
-        return represent_function(np.concatenate([f, f]))
+        return np.diag(np.concatenate([f, f]))
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,12 @@ def base_matrix(operator) -> np.ndarray:
 
 
 def represent_function(values) -> np.ndarray:
-    return np.diag(np.asarray(values))
+    """The diagonal matrix of a function, given by its finite real or
+    complex values at the points."""
+    f = finite_array(values, "function values", kinds="iufc")
+    if f.ndim != 1:
+        raise ValidationError("function values must be a 1-D array")
+    return np.diag(f)
 
 
 def commutator_differential(matrix, values) -> np.ndarray:

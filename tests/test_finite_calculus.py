@@ -16,6 +16,7 @@ from ncgeom.finite_calculus import (
     FormExpr,
     ReducedCalculus,
     _rref,
+    _subtract,
     build_universal,
     calculus_for,
     complete_arrows,
@@ -641,3 +642,117 @@ def test_differential_equals_trying_every_vertex(case):
             a = FormExpr({rng.choice(basis): coefficient() for _ in range(4)})
             expected = differential_trying_every_vertex(calc, a)
             assert calc.differential(a).terms == expected.terms
+
+
+# -- the kernel against implicit-zero accumulation ------------------------
+
+
+def reference_normalized(calc, raw):
+    """`ReducedCalculus._normalized` with row -= c * prow written as
+    row.get(p, 0) - c * v."""
+    out = {p: c for p, c in raw.items() if c != 0}
+    for p in list(out):
+        if not calc._built(len(p) - 1):
+            del out[p]
+            continue
+        row = calc._pivots_by_degree[len(p) - 1].get(p)
+        if row is None:
+            continue
+        c = out.pop(p)
+        for q, v in row.items():
+            if q == p:
+                continue
+            nv = out.get(q, 0) - c * v
+            if nv:
+                out[q] = nv
+            else:
+                out.pop(q, None)
+    return out
+
+
+def reference_multiply(calc, a, b):
+    out = {}
+    for P, ca in a.terms.items():
+        for Q, cb in b.terms.items():
+            if P[-1] == Q[0]:
+                path = P + Q[1:]
+                out[path] = out.get(path, 0) + ca * cb
+    return reference_normalized(calc, out)
+
+
+def reference_differential(calc, a):
+    out = {}
+    for P, c in a.terms.items():
+        for pos in range(len(P) + 1):
+            for j in range(calc.graph.n):
+                path = P[:pos] + (j,) + P[pos:]
+                if calc.is_admissible_path(path):
+                    out[path] = out.get(path, 0) + (1 if pos % 2 == 0 else -1) * c
+    return reference_normalized(calc, out)
+
+
+def reference_add(a, b):
+    out = dict(a.terms)
+    for p, c in b.terms.items():
+        out[p] = out.get(p, 0) + c
+    return {p: c for p, c in out.items() if c != 0}
+
+
+def same_terms(terms, expected):
+    """Equal keys in the same order and equal values of the same type; a
+    complex value's zero part may differ in sign, since -(1.5+0j) is
+    (-1.5-0j) where (-1) * (1.5+0j) is (-1.5+0j)."""
+    return [(p, type(c), c) for p, c in terms.items()] == [
+        (p, type(c), c) for p, c in expected.items()
+    ]
+
+
+COEFFICIENTS = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "Fraction": lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    "float": lambda rng: rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0),
+    "complex": lambda rng: complex(rng.randint(-2, 2), rng.choice([0.0, -0.0, 1.5])),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(sorted(complete_arrows(n)))),
+        st.randoms(use_true_random=False),
+    )
+))
+def test_algebra_equals_implicit_zero_reference(case):
+    # the kernel starts no sum from 0 and negates with -c; that must keep
+    # every key, its place, and the value with its type
+    n, arrows, rng = case
+    calc = ReducedCalculus(Digraph.from_arrows(n, arrows), degree_cap=4)
+    kinds = sorted(COEFFICIENTS)
+
+    def expr(kind):
+        # mixed degrees put two products on one path, so sums repeat paths
+        degrees = [rng.randint(0, 2)] if rng.random() < 0.5 else [0, 1, 2]
+        paths = [p for r in degrees for p in calc.basis(r)]
+        terms = {}
+        for _ in range(6 if paths else 0):
+            draw = COEFFICIENTS[kind if kind != "mixed" else rng.choice(kinds)]
+            terms[rng.choice(paths)] = draw(rng)
+        return FormExpr(terms)
+
+    for kind in kinds + ["mixed"]:
+        for _ in range(3):
+            a, b = expr(kind), expr(kind)
+            # a sum that cancels: some of a's terms negated
+            c = FormExpr({p: -v for p, v in a.terms.items() if rng.random() < 0.5})
+            assert same_terms(multiply(a, b, calc).terms, reference_multiply(calc, a, b))
+            assert same_terms(differential(a, calc).terms, reference_differential(calc, a))
+            for x, y in ((a, b), (a, c), (b, a)):
+                assert same_terms((x + y).terms, reference_add(x, y))
+
+
+def test_subtract_stores_no_underflowed_new_column():
+    # -(c * v) of a column new to the row underflows to -0.0, which is zero
+    row = {(0, 1): 1.0}
+    _subtract(row, 1e-200, {(0, 2): 1.0, (0, 3): 1e-200, (0, 4): 2.0}, (0, 2))
+    assert list(row.items()) == [((0, 1), 1.0), ((0, 4), -2e-200)]

@@ -3,6 +3,7 @@ NumericError, and no bare Python or numpy error escapes (pyproject.toml turns
 numpy's RuntimeWarnings, ComplexWarning among them, into errors)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from ncgeom.finite_calculus import (
     multiply,
 )
 from ncgeom.lattice import LatticeField, LatticeOneForm, LatticeSpec, StructureTensor
-from ncgeom.matrix_rep import AdjacencyMatrix, base_matrix, double, verify_triple
+from ncgeom.matrix_rep import (
+    AdjacencyMatrix,
+    base_matrix,
+    double,
+    represent_function,
+    verify_triple,
+)
 from ncgeom.sigma_toda import (
     HodgeStar,
     TodaState,
@@ -97,6 +104,8 @@ ENTRY_POINTS = {
     "LatticeField shift axis": lambda v: PLANE_FIELD.shift(v),
     "LatticeField shift steps": lambda v: PLANE_FIELD.shift(0, v),
     "verify_triple function": lambda v: verify_triple(double(TWO_POINT), [[0.0, v]]),
+    "function_differential": lambda v: function_differential([0, v], ARROW_CALCULUS),
+    "represent_function": lambda v: represent_function([0.0, v]),
 }
 
 
@@ -145,6 +154,10 @@ REJECTED = {
     "fractional cap": lambda: calculus_for(Digraph.from_arrows(2, [(0, 1)]), 2.5),
     "string spacing l0": lambda: TodaState(BUMP, BUMP, "0.5", 1.0),
     "complex slice": lambda: TodaState(BUMP, BUMP + 0j, 0.5, 1.0),
+    "nan represent_function": lambda: represent_function([0.0, math.nan]),
+    "string represent_function": lambda: represent_function(["a", "b"]),
+    "2-D represent_function": lambda: represent_function([[1.0, 2.0], [3.0, 4.0]]),
+    "2-D represent": lambda: double(TWO_POINT).represent([[1.0, 2.0], [3.0, 4.0]]),
     "huge t_final": lambda: toda_integrate([0.0], [0.0], 1e300, 1.0),
     "huge step count": lambda: toda_run_discrete(STATE, 2**62),
     "short t_final": lambda: discrete_continuum_orders(BUMP, np.zeros(4), t_final=0.01),
@@ -232,3 +245,21 @@ def test_products_past_the_top_degree_vanish():
     assert calc.dimensions() == [3, 3, 0]
     product = multiply(FormExpr.from_path((0, 1)), FormExpr.from_path((1, 2, 0)), calc)
     assert product == FormExpr()
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, complex(0, math.inf), "a", None, True], ids=repr
+)
+def test_function_differential_names_the_bad_value(value):
+    # each was once accepted, some as a nan or inf coefficient, or raised a bare TypeError
+    with pytest.raises(ValidationError, match=f"function value {value!r} "):
+        function_differential([value, 0], ARROW_CALCULUS)
+
+
+def test_function_differential_keeps_exact_values_exact():
+    df = function_differential([Fraction(1, 3), 2], ARROW_CALCULUS)
+    assert df.terms == {(0, 1): Fraction(5, 3)}
+    assert type(df.terms[(0, 1)]) is Fraction
+    huge = function_differential([0, 10**400], ARROW_CALCULUS)  # past float range
+    assert huge.terms == {(0, 1): 10**400}
+    assert function_differential([0, 1.5 + 2j], ARROW_CALCULUS).terms == {(0, 1): 1.5 + 2j}
