@@ -4,15 +4,22 @@ The universal calculus on an N point set has one basis form per path with
 distinct consecutive vertices; a path (i1, ..., ir) is the (r-1)-form built
 by concatenating the edge forms along it.  Choosing a digraph deletes some
 edge forms, which restricts the admissible paths and imposes linear
-relations generated by the differentials of the deleted edges.  The degree-r
-relations are the degree r-1 ones times an arrow plus the generators whose
-detour ends the path, so each degree is built from the previous degree's
-reduced rows; those generators are needed only for the normal words, the
-paths that are not pivots, which form the quotient basis.  Relations are
-eliminated exactly, over ints that become `Fraction` only at a pivot other
-than +1 or -1, so dimensions and normal forms carry no floating point error.
-The build counts the admissible paths of each degree and lists only normal
-words; a degree's path list is enumerated when it is first read.
+relations generated by the differentials of the deleted edges.  In reduced
+row echelon form each relation row has a lead path, its pivot.  A degree-r
+pivot is a degree r-1 pivot extended by an arrow, or the lead of a fresh
+row: a generator whose detour ends the path, taken only at the normal words
+(the paths that are not pivots, which form the quotient basis) and reduced.
+So the build keeps each degree's fresh rows and counts: admissible paths
+per end vertex and pivots per (start, end) pair, pushed along the arrows.
+A path that is not a normal word has a fresh prefix, and its row is that
+prefix's fresh row extended one arrow at a time, each step cleared of the
+new degree's fresh leads.  This is prefix rewriting with a noncommutative
+Groebner basis (Mora, Theoret. Comput. Sci. 134, 1994); normal forms reduce
+through it with a memo per calculus.  A degree's relation rows are listed
+when they are first read, and its admissible paths likewise.  Relations
+are eliminated exactly, over ints that become `Fraction` only at a pivot
+other than +1 or -1, so dimensions and normal forms carry no floating point
+error.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
@@ -29,7 +36,7 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ValidationError, finite_number, integer
 
@@ -160,14 +167,21 @@ class FormExpr:
     def __add__(self, other):
         if not isinstance(other, FormExpr):
             return NotImplemented
+        # both hold checked paths, so only zeros are dropped
         out = dict(self.terms)
         for p, c in other.terms.items():
             old = out.get(p)
-            out[p] = c if old is None else old + c
-        return FormExpr(out)
+            if old is None:
+                out[p] = c
+            elif total := old + c:
+                out[p] = total
+            else:
+                del out[p]
+        return FormExpr._of(out)
 
     def __rmul__(self, scalar):
-        return FormExpr({p: scalar * c for p, c in self.terms.items()})
+        # a float product can underflow to 0.0, which is not stored
+        return FormExpr._of({p: v for p, c in self.terms.items() if (v := scalar * c)})
 
     def __repr__(self):
         if not self.terms:
@@ -231,18 +245,46 @@ def _rref(rows: list[dict]) -> dict:
     return pivots
 
 
+class _Relations(Sequence):
+    """View of one degree's relation rows as forms, in lead order: its length
+    is the build's pivot count, and the rows are listed when first read."""
+
+    __slots__ = ("_calc", "_degree")
+
+    def __init__(self, calc: "ReducedCalculus", degree: int):
+        self._calc = calc
+        self._degree = degree
+
+    def __len__(self):
+        return self._calc._pivot_counts[self._degree]
+
+    def __getitem__(self, index):
+        return self._calc._relations(self._degree)[index]
+
+    def __iter__(self):
+        return iter(self._calc._relations(self._degree))
+
+
 class ReducedCalculus:
     """A digraph calculus: admissible path bases and quotient relations.
 
-    Relations are computed at build time degree by degree, each degree's
-    reduced relation rows from the previous degree's (`_relation_pivots`),
-    stopping at the first degree whose quotient dimension vanishes
-    (`max_degree`) or at `degree_cap`, whichever comes first.  Past the cap
-    the calculus reports itself truncated rather than guessing.  The build
-    counts each degree's admissible paths, and lists the normal words of
-    degree r - 2, the paths that are not pivots, only when the relations of
-    degree r need them.  A degree's admissible paths are enumerated, and
-    kept, when `basis` or `basis_by_degree` first reads them.
+    The build goes degree by degree and stops at the first degree whose
+    quotient dimension vanishes (`max_degree`) or at `degree_cap`, whichever
+    comes first.  Past the cap the calculus reports itself truncated rather
+    than guessing.  Each degree keeps its fresh rows (`_fresh_rows`), the
+    reduced generators whose leads are not pivots of the degree below, and
+    two counts: admissible paths, and pivots, which are the degree r-1
+    pivots extended by every arrow plus the fresh leads.  The dimension is
+    their difference.  Nothing else is listed at build time: the normal
+    words of degree r - 2, the paths that are not pivots, only when the
+    fresh rows of degree r need them.
+
+    A normal form reduces each pivot through its relation row, which
+    `_row` extends from the pivot's fresh prefix and keeps in a memo.  A
+    degree's relation rows (`relations_by_degree`, `_pivots_by_degree`) are
+    listed on first read, by extending the previous degree's rows
+    (`_table`).  A degree's admissible paths are enumerated, and kept, when
+    `basis` or `basis_by_degree` first reads them.
     """
 
     def __init__(self, graph: Digraph, degree_cap: int = DEFAULT_DEGREE_CAP):
@@ -262,8 +304,12 @@ class ReducedCalculus:
         self._path_counts: list[int] = []
         self._bases: list[list[Path]] = [[(i,) for i in range(n)]]
         self._normal_words: list[list[Path]] = [[(i,) for i in range(n)]]
-        self.relations_by_degree: list[list[FormExpr]] = []
-        self._pivots_by_degree: list[dict] = []
+        self._normal_sets: list[set[Path]] = []
+        self._fresh: list[dict[Path, dict]] = []
+        self._pivot_counts: list[int] = []
+        self._memo: dict[Path, dict] = {}  # extended rows that normal forms met
+        self._tables: list[dict[Path, dict]] = [{}]
+        self._forms: dict[int, list[FormExpr]] = {}
         self.max_degree: int | None = None
         self.truncated = False
         self._build()
@@ -279,9 +325,10 @@ class ReducedCalculus:
             if mids:
                 detours.append((i, j, mids))
         ends = [1] * n  # admissible paths of the current degree, per end vertex
+        blocks: dict[tuple[int, int], int] = {}  # pivots per (start, end) pair
         self._path_counts.append(n)
-        self.relations_by_degree.append([])
-        self._pivots_by_degree.append({})
+        self._fresh.append({})
+        self._pivot_counts.append(0)
         for r in range(1, self.degree_cap + 1):
             pushed = [0] * n
             for count, targets in zip(ends, self._out):
@@ -289,12 +336,27 @@ class ReducedCalculus:
                     pushed[j] += count
             ends = pushed
             self._path_counts.append(sum(ends))
-            pivots = self._relation_pivots(r, detours)
-            self._pivots_by_degree.append(pivots)
-            # the relations share the pivot rows: one copy of each, no re-check
-            rels = [FormExpr._of(pivots[lead]) for lead in sorted(pivots)]
-            self.relations_by_degree.append(rels)
-            if self._path_counts[r] - len(rels) == 0:
+            start = time.perf_counter()
+            fresh = self._fresh_rows(r, detours)
+            elapsed = time.perf_counter() - start
+            self._fresh.append(fresh)
+            extended: dict[tuple[int, int], int] = {}
+            for (i, k), count in blocks.items():
+                for j in self._out[k]:
+                    extended[i, j] = extended.get((i, j), 0) + count
+            for lead in fresh:
+                block = (lead[0], lead[-1])
+                extended[block] = extended.get(block, 0) + 1
+            blocks = extended
+            pivots = sum(blocks.values())
+            self._pivot_counts.append(pivots)
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "degree %d: %d paths, %d relations, %d endpoint blocks, "
+                    "elimination %.6f s",
+                    r, self._path_counts[r], pivots, len(blocks), elapsed,
+                )
+            if self._path_counts[r] == pivots:
                 self.max_degree = r
                 return
         self.truncated = True
@@ -310,24 +372,32 @@ class ReducedCalculus:
     def _normal(self, r: int) -> list[Path]:
         """The degree-r normal words, the admissible paths that are not
         pivots, in lexicographic order.  A pivot extended by an arrow is a
-        pivot, so they are extended from the highest degree listed so far,
-        and kept."""
+        pivot, and a normal word extended by an arrow is a normal word or a
+        fresh lead, so they are extended from the highest degree listed so
+        far, and kept."""
         words = self._normal_words
         while len(words) <= r:
-            pivots = self._pivots_by_degree[len(words)]
+            fresh = self._fresh[len(words)]
             words.append([
                 q for w in words[-1] for v in self._out[w[-1]]
-                if (q := w + (v,)) not in pivots
+                if (q := w + (v,)) not in fresh
             ])
         return words[r]
+
+    def _normal_set(self, r: int) -> set[Path]:
+        """The degree-r normal words as a set, made on first use."""
+        sets = self._normal_sets
+        while len(sets) <= r:
+            sets.append(set(self._normal(len(sets))))
+        return sets[r]
 
     @property
     def basis_by_degree(self) -> list[list[Path]]:
         """The admissible paths of every built degree, enumerated on first read."""
         return [self._basis(r) for r in range(len(self._path_counts))]
 
-    def _relation_pivots(self, r: int, detours: list) -> dict:
-        """Reduced rows of the degree-r differential ideal on admissible paths.
+    def _fresh_rows(self, r: int, detours: list) -> dict:
+        """The reduced degree-r generators whose leads are not extended pivots.
 
         The ideal is generated by d(e_ij) for the deleted arrows (i, j).  A
         generator P * d(e_ij) * Q projects onto admissible paths as the sum of
@@ -337,72 +407,112 @@ class ReducedCalculus:
         So the degree-r span is (i) the degree r-1 span times every arrow,
         plus (ii) the generators P + (k, j) whose detour ends the path.
 
-        (ii) needs only the normal words P of degree r-2, the paths that are
-        not pivots.  A pivot P has the reduced row R_P = P + sum_b c_b b over
-        normal words b, all ending where P ends.  Each R_P + (k,) lies in the
-        degree r-1 span, so R_P + (k, j) lies in (i), and P's generator
-        equals minus sum_b c_b times b's generator modulo (i).
+        (ii) needs only the normal words P of degree r-2.  A pivot P has the
+        reduced row R_P = P + sum_b c_b b over normal words b, all ending
+        where P ends.  Each R_P + (k,) lies in the degree r-1 span, so
+        R_P + (k, j) lies in (i), and P's generator equals minus sum_b c_b
+        times b's generator modulo (i).
 
         (i) is spanned by the degree r-1 pivot rows, each extended by every
         arrow out of its end vertex.  Appending one arrow is injective on
         paths and keeps their lexicographic order, so the extended rows have
-        distinct unit leads and contain no other extended row's lead.  Each
-        row of (ii) is therefore reduced against them in one pass over its
-        own paths.  The remainders hold no extended lead; one `_rref` call
-        eliminates them, and their fresh leads are cleared from the extended
-        rows, each in one pass, since the fresh rows hold no lead but their
-        own.  A fresh lead in an extended row lies past that row's lead,
-        which stays its least path, so rows of one entry need no clearing.
-
-        The union is in reduced row echelon form and spans every degree-r
-        generator, so by uniqueness of that form it equals one elimination
-        over all of them.
+        distinct unit leads and contain no other extended row's lead.  A path
+        P + (k, j) with P normal is an extended lead exactly when P + (k,) is
+        a fresh lead of degree r-1, so each row of (ii) is reduced against
+        those fresh rows, extended by j, in one pass over its own paths.  The
+        remainders hold no extended lead; one `_rref` call eliminates them
+        into the fresh rows, which `_extended` then clears from the extended
+        rows.
         """
-        start = time.perf_counter()
-        pivots: dict[Path, dict] = {}
-        long_rows: list[dict] = []  # extended rows with more than their lead
-        for lead, row in self._pivots_by_degree[r - 1].items():
-            if len(row) == 1:
-                c = row[lead]
-                for v in self._out[lead[-1]]:
-                    q = lead + (v,)
-                    pivots[q] = {q: c}
-                continue
-            for v in self._out[lead[-1]]:
-                extended = {p + (v,): c for p, c in row.items()}
-                pivots[lead + (v,)] = extended
-                long_rows.append(extended)
-        fresh_rows: list[dict] = []
+        rows: list[dict] = []
         if r >= 2 and detours:
             ends: dict[int, list[Path]] = {}
             for P in self._normal(r - 2):
                 ends.setdefault(P[-1], []).append(P)
+            below = self._fresh[r - 1]
             for i, j, mids in detours:
                 for P in ends.get(i, ()):
                     row = {P + (k, j): 1 for k in mids}
-                    for p in list(row):
-                        prow = pivots.get(p)
+                    for k in mids:
+                        prow = below.get(P + (k,))
                         if prow is not None:
-                            _subtract(row, row.pop(p), prow, p)
+                            lead = P + (k, j)
+                            extended = {p + (j,): c for p, c in prow.items()}
+                            _subtract(row, row.pop(lead), extended, lead)
                     if row:
-                        fresh_rows.append(row)
-        fresh = _rref(fresh_rows)
-        if fresh:
-            for row in long_rows:
-                for p in [p for p in row if p in fresh]:
-                    _subtract(row, row.pop(p), fresh[p], p)
-            pivots.update(fresh)
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "degree %d: %d paths, %d relations, %d endpoint blocks, "
-                "elimination %.6f s",
-                r,
-                self._path_counts[r],
-                len(pivots),
-                len({(lead[0], lead[-1]) for lead in pivots}),
-                time.perf_counter() - start,
-            )
-        return pivots
+                        rows.append(row)
+        return _rref(rows)
+
+    @staticmethod
+    def _extended(row: dict, v: int, fresh: dict) -> dict:
+        """The relation row of lead + (v,), from the row of a degree r-1
+        pivot and the degree-r fresh rows.
+
+        The row extended by the arrow to v is in the degree-r span and holds
+        no other extended lead; clearing the fresh leads, each in one pass
+        since the fresh rows hold no lead but their own, leaves it reduced.
+        A fresh lead lies past the extended lead, which stays the row's least
+        path, so a row of one entry needs no clearing.  The union of these
+        rows and the fresh rows is in reduced row echelon form and spans
+        every degree-r generator, so by uniqueness of that form it equals one
+        elimination over all of them.
+        """
+        out = {p + (v,): c for p, c in row.items()}
+        if fresh and len(out) > 1:
+            for p in [p for p in out if p in fresh]:
+                _subtract(out, out.pop(p), fresh[p], p)
+        return out
+
+    def _row(self, lead: Path) -> dict:
+        """The relation row of a pivot: its fresh row, or the row of the
+        pivot one arrow shorter, extended; extended rows are memoised."""
+        row = self._memo.get(lead)
+        if row is None:
+            fresh = self._fresh[len(lead) - 1]
+            row = fresh.get(lead)
+            if row is None:
+                row = self._extended(self._row(lead[:-1]), lead[-1], fresh)
+                self._memo[lead] = row
+        return row
+
+    def _table(self, r: int) -> dict[Path, dict]:
+        """The degree-r relation rows by lead, in lead order: every degree
+        r-1 row extended by every arrow out of its end, plus the fresh rows.
+        Listed degree by degree up to r on first read, and kept.  The
+        extended leads come out in lead order, so the sort mostly merges the
+        fresh leads into them."""
+        tables = self._tables
+        while len(tables) <= r:
+            fresh = self._fresh[len(tables)]
+            rows = []
+            for lead, row in tables[-1].items():
+                single = len(row) == 1
+                for v in self._out[lead[-1]]:
+                    q = lead + (v,)
+                    rows.append((q, {q: row[lead]} if single else self._extended(row, v, fresh)))
+            rows += fresh.items()
+            rows.sort()  # leads are distinct, so rows are never compared
+            tables.append(dict(rows))
+        return tables[r]
+
+    @property
+    def _pivots_by_degree(self) -> list[dict[Path, dict]]:
+        """Every built degree's relation rows by lead, listed on first read."""
+        return [self._table(r) for r in range(len(self._path_counts))]
+
+    def _relations(self, r: int) -> list[FormExpr]:
+        """The degree-r relations in lead order, sharing the table's rows:
+        one copy of each, no re-check."""
+        forms = self._forms.get(r)
+        if forms is None:
+            forms = self._forms[r] = [FormExpr._of(row) for row in self._table(r).values()]
+        return forms
+
+    @property
+    def relations_by_degree(self) -> list[Sequence[FormExpr]]:
+        """Every built degree's relations; `len` of each reads the build's
+        count, and the rows are listed when an entry is first read."""
+        return [_Relations(self, r) for r in range(len(self._path_counts))]
 
     # -- inspection ---------------------------------------------------
 
@@ -422,7 +532,7 @@ class ReducedCalculus:
     def dimension(self, r: int) -> int:
         if not self._built(r):
             return 0
-        return self._path_counts[r] - len(self.relations_by_degree[r])
+        return self._path_counts[r] - self._pivot_counts[r]
 
     def dimensions(self) -> list[int]:
         return [self.dimension(r) for r in range(len(self._path_counts))]
@@ -431,7 +541,7 @@ class ReducedCalculus:
         return list(self._basis(r)) if self._built(r) else []
 
     def relations(self, r: int) -> list[FormExpr]:
-        return list(self.relations_by_degree[r]) if self._built(r) else []
+        return list(self._relations(r)) if self._built(r) else []
 
     def is_admissible_path(self, path: Path) -> bool:
         if len(path) == 1:
@@ -453,20 +563,25 @@ class ReducedCalculus:
     def _normalized(self, raw: dict) -> FormExpr:
         """Reduce admissible paths modulo the relations.
 
-        Pivot rows are fully reduced, so subtracting one brings in no other
+        A path that is not a normal word is a pivot, and its relation row
+        (`_row`) is fully reduced, so subtracting it brings in no other
         lead: one visit to each path of the expression clears every lead.
         The result holds admissible paths and no zero, so it is not checked
         again.
         """
         out = {path: c for path, c in raw.items() if c != 0}
-        built = {r: self._built(r) for r in {len(p) - 1 for p in out}}
-        for p in list(out):
-            if not built[len(p) - 1]:
-                del out[p]
-                continue
-            row = self._pivots_by_degree[len(p) - 1].get(p)
-            if row is not None:
-                _subtract(out, out.pop(p), row, p)
+        normal = {}
+        for r in {len(p) - 1 for p in out}:
+            if not self._built(r):  # past max_degree every form is zero
+                out = {p: c for p, c in out.items() if len(p) - 1 != r}
+            elif self._pivot_counts[r]:
+                normal[r] = self._normal_set(r)
+        if normal:
+            memo = self._memo
+            for p in list(out):
+                words = normal.get(len(p) - 1)
+                if words is not None and p not in words:
+                    _subtract(out, out.pop(p), memo.get(p) or self._row(p), p)
         return FormExpr._of(out)
 
     def multiply(self, a: FormExpr, b: FormExpr) -> FormExpr:

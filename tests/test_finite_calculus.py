@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncgeom.finite_calculus as finite_calculus
 from ncgeom.errors import ValidationError
 from ncgeom.finite_calculus import (
     Digraph,
@@ -24,6 +25,12 @@ from ncgeom.finite_calculus import (
     function_differential,
     multiply,
     reduce,
+)
+from ncgeom.lattice import (
+    LatticeField,
+    LatticeSpec,
+    exterior_derivative,
+    lattice_structure_tensor,
 )
 
 # Fig. 1 digraph on four points (0-based): 0->1, 1->2, 0->3, 3->2.
@@ -193,6 +200,29 @@ def test_forms_do_not_mix_with_numbers():
     assert (FormExpr() == 0) is False
     with pytest.raises(TypeError):
         FormExpr() + 1
+
+
+def test_sum_and_scalar_multiple_check_no_path_again(monkeypatch):
+    a = FormExpr({(0, 1, 2): Fraction(1, 2), (0, 3, 2): 2, (1, 2, 3): -1})
+    b = FormExpr({(0, 1, 2): Fraction(-1, 2), (2, 1, 0): 3})
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return path
+
+    monkeypatch.setattr(finite_calculus, "_check_path", counted)
+    assert (a + b).terms == {(0, 3, 2): 2, (1, 2, 3): -1, (2, 1, 0): 3}
+    assert (3 * a).terms == {(0, 1, 2): Fraction(3, 2), (0, 3, 2): 6, (1, 2, 3): -3}
+    assert not calls
+
+
+def test_sum_and_scalar_multiple_store_no_zero():
+    a = FormExpr({(0, 1): Fraction(2, 3), (1, 0): -4, (0, 2): 1.5})
+    assert (a + (-1) * a).terms == {}
+    assert (0 * a).terms == {}
+    e = FormExpr.from_path((0, 1))
+    assert (1e-200 * (1e-200 * e)).terms == {}  # the float product underflows
 
 
 def test_fig1_reduced_differential_of_e01():
@@ -516,6 +546,153 @@ def test_build_logs_each_degree_at_debug(caplog):
         "degree 3: 0 paths, 0 relations, 0 endpoint blocks",
     ]
     assert all(line.endswith(" s") for line in lines)
+
+
+# -- fresh rows at build time, relation rows on read --------------------------
+
+
+def test_build_and_its_counts_reduce_nothing():
+    # the benchmark's check of a build reads only these
+    calc = ReducedCalculus(Digraph.from_arrows(9, bigrid_arrows(3, 3)), degree_cap=6)
+    assert calc.dimensions() == [9, 24, 40, 56, 72, 88, 104]
+    assert sum(len(paths) for paths in calc.basis_by_degree) == sum(
+        walk_counts(9, frozenset(bigrid_arrows(3, 3)), 6)
+    )
+    assert [len(rels) for rels in calc.relations_by_degree] == [
+        0, 0, 28, 136, 472, 1448, 4248,
+    ]
+    assert [len(fresh) for fresh in calc._fresh] == [0, 0, 28, 60, 92, 124, 156]
+    assert calc._tables == [{}] and calc._forms == {}  # no relation row listed
+    assert calc._memo == {}  # and no normal form taken
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(sorted(complete_arrows(n)))),
+        st.integers(3, 5),
+        st.randoms(use_true_random=False),
+    )
+))
+def test_relations_on_read_and_normal_forms_in_either_order(case):
+    n, arrows, cap, rng = case
+    graph = Digraph.from_arrows(n, arrows)
+    relations_first = ReducedCalculus(graph, cap)
+    algebra_first = ReducedCalculus(graph, cap)
+    top = len(relations_first.basis_by_degree) - 1
+    draws = [COEFFICIENTS[kind] for kind in ("int", "Fraction", "float")]
+
+    def expr(degree):
+        paths = relations_first.basis(degree)
+        draw = rng.choice(draws)
+        return FormExpr({rng.choice(paths): draw(rng) for _ in range(5)} if paths else {})
+
+    operands = []
+    for _ in range(8):
+        deg_a = rng.randint(0, top - 1)  # d(a) stays within the built degrees
+        operands.append((expr(deg_a), expr(rng.randint(0, top - deg_a))))
+
+    def relations(calc):
+        for r in range(top + 1):
+            dense = dense_rref(all_relation_rows(calc, r))
+            assert len(calc.relations_by_degree[r]) == len(dense)
+            assert [rel.terms for rel in calc.relations(r)] == [
+                dense[lead] for lead in sorted(dense)
+            ]
+
+    def algebra(calc):
+        out = []
+        for a, b in operands:
+            out += [multiply(a, b, calc).terms, differential(a, calc).terms]
+        return out
+
+    relations(relations_first)
+    after = algebra(relations_first)
+    before = algebra(algebra_first)
+    relations(algebra_first)
+    # the reference reduces through the listed relation rows
+    expected = []
+    for a, b in operands:
+        expected += [
+            reference_multiply(relations_first, a, b),
+            reference_differential(relations_first, a),
+        ]
+    for got in (after, before):
+        assert all(same_terms(x, y) for x, y in zip(got, expected, strict=True))
+
+
+# -- the lattice calculus as the digraph calculus of an oriented grid -------
+
+
+def oriented_grid(k):
+    """The k x k grid with arrows +x and +y; vertex x + k * y sits at (x, y)."""
+    arrows = [(v, v + 1) for v in range(k * k) if v % k + 1 < k]
+    arrows += [(v, v + k) for v in range(k * k - k)]
+    return ReducedCalculus(Digraph.from_arrows(k * k, arrows), degree_cap=4)
+
+
+# unit spacing, and spacings 2^-k, which the float structure tensor and the
+# float lattice derivative hold exactly
+SPACINGS = [(1, 1), (Fraction(1, 2), Fraction(1, 4))]
+
+
+@pytest.mark.parametrize("spacings", SPACINGS, ids=["unit", "dyadic"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_oriented_grid_is_the_lattice_calculus(k, spacings):
+    calc = oriented_grid(k)
+    assert calc.dimensions() == [k * k, 2 * k * (k - 1), (k - 1) ** 2, 0]
+    # the coordinates x^0 = l^0 x and x^1 = l^1 y of vertex x + k * y
+    coords = [
+        [spacings[0] * (v % k) for v in range(k * k)],
+        [spacings[1] * (v // k) for v in range(k * k)],
+    ]
+    dx, dy = (calc.function_differential(c) for c in coords)
+
+    def mul(*forms):
+        out = forms[0]
+        for form in forms[1:]:
+            out = calc.multiply(out, form)
+        return out
+
+    assert not mul(dx, dy) + mul(dy, dx)
+    assert not mul(dx, dx) and not mul(dy, dy)
+    assert not calc.differential(dx) and not calc.differential(dy)
+    assert not mul(dx, dy, dx)
+    # [dx^mu, x^nu] = sum_kappa C[mu, nu, kappa] dx^kappa, so [dx, x] = l^0 dx
+    c = lattice_structure_tensor(spacings).coefficients
+    forms = [dx, dy]
+    for mu, d_mu in enumerate(forms):
+        for nu, coord in enumerate(coords):
+            x_nu = FormExpr({(v,): value for v, value in enumerate(coord)})
+            expected = FormExpr()
+            for kappa, d_kappa in enumerate(forms):
+                expected = expected + Fraction(c[mu, nu, kappa]) * d_kappa
+            assert mul(d_mu, x_nu) + (-1) * mul(x_nu, d_mu) == expected
+    x = FormExpr({(v,): value for v, value in enumerate(coords[0])})
+    assert mul(dx, x) + (-1) * mul(x, dx) == spacings[0] * dx
+
+
+@pytest.mark.parametrize("spacings", SPACINGS, ids=["unit", "dyadic"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_oriented_grid_differential_is_the_lattice_exterior_derivative(k, spacings):
+    calc = oriented_grid(k)
+    rng = random.Random(k)
+    f = [rng.randint(-9, 9) for _ in range(k * k)]
+    df = calc.function_differential(f)
+    # values[x, y] = f(x + k * y) on the window [0, k) x [0, k)
+    values = [[f[x + k * y] for y in range(k)] for x in range(k)]
+    field = LatticeField(LatticeSpec(spacings, ((0, k), (0, k))), values)
+    one_form = exterior_derivative(field)
+    (x_lo, x_hi), (y_lo, y_hi) = one_form.spec.window
+    assert (x_hi - x_lo, y_hi - y_lo) == (k - 1, k - 1)
+    # df = sum_mu (partial_mu f) dx^mu, and dx^mu is l^mu times each arrow
+    # along mu, so an arrow's coefficient is l^mu partial_mu f at its start
+    for x in range(x_lo, x_hi):
+        for y in range(y_lo, y_hi):
+            v = x + k * y
+            for step, spacing, component in zip((1, k), spacings, one_form.components):
+                assert df.coefficient((v, v + step)) == spacing * Fraction(component[x, y])
 
 
 # -- counted paths, bases enumerated on read ------------------------------
