@@ -14,12 +14,12 @@ per end vertex and pivots per (start, end) pair, pushed along the arrows.
 A path that is not a normal word has a fresh prefix, and its row is that
 prefix's fresh row extended one arrow at a time, each step cleared of the
 new degree's fresh leads.  This is prefix rewriting with a noncommutative
-Groebner basis (Mora, Theoret. Comput. Sci. 134, 1994); normal forms reduce
-through it with a memo per calculus.  A degree's relation rows are listed
-when they are first read, and its admissible paths likewise.  Relations
-are eliminated exactly, over ints that become `Fraction` only at a pivot
-other than +1 or -1, so dimensions and normal forms carry no floating point
-error.
+Groebner basis (Mora, Theoret. Comput. Sci. 134, 1994); normal forms and
+reads of the relations share one memo of these rows per calculus.  A
+degree's relation rows are listed when first read, and its admissible
+paths likewise.  Relations are eliminated exactly, over ints that become
+`Fraction` only at a pivot other than +1 or -1, so dimensions and normal
+forms carry no floating point error.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
@@ -49,11 +49,12 @@ Path = tuple[int, ...]
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """A finite base set; labels are arbitrary distinct identifiers."""
+    """A finite base set; labels are distinct identifiers, kept as a tuple."""
 
     labels: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) < 1:
             raise ValidationError("finite set needs at least one point")
         if len(set(self.labels)) != len(self.labels):
@@ -80,15 +81,19 @@ def complete_arrows(n: int) -> frozenset[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Digraph:
-    """A digraph on a finite set: ordered arrow pairs, no self loops."""
+    """A digraph on a finite set: a frozenset of arrow pairs, no self loops."""
 
     base: FiniteSet
     arrows: frozenset
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "arrows", frozenset(map(tuple, self.arrows)))
+        except TypeError:
+            raise ValidationError("arrows must be an iterable of vertex pairs") from None
         n = self.base.n
         for a in self.arrows:
-            if not (isinstance(a, tuple) and len(a) == 2):
+            if len(a) != 2:
                 raise ValidationError(f"arrow {a!r} is not a pair")
             i, j = integer(a[0], "each arrow vertex"), integer(a[1], "each arrow vertex")
             if not (0 <= i < n and 0 <= j < n):
@@ -98,7 +103,7 @@ class Digraph:
 
     @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[tuple[int, int]]) -> "Digraph":
-        return cls(FiniteSet.of_size(n), frozenset(tuple(a) for a in arrows))
+        return cls(FiniteSet.of_size(n), arrows)
 
     @property
     def n(self) -> int:
@@ -126,11 +131,12 @@ class FormExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Path, complex] | None = None):
+        if terms is not None and not isinstance(terms, Mapping):
+            raise ValidationError("a form's terms must map paths to coefficients")
         data = {}
         for path, c in (terms or {}).items():
-            if c == 0:
-                continue
-            data[_check_path(path)] = c
+            if finite_number(c, "coefficient") != 0:
+                data[_check_path(path)] = c
         self.terms = data
 
     @classmethod
@@ -180,16 +186,14 @@ class FormExpr:
         return FormExpr._of(out)
 
     def __rmul__(self, scalar):
+        finite_number(scalar, "scalar")
         # a float product can underflow to 0.0, which is not stored
         return FormExpr._of({p: v for p, c in self.terms.items() if (v := scalar * c)})
 
     def __repr__(self):
-        if not self.terms:
-            return "FormExpr(0)"
-        bits = []
-        for p in sorted(self.terms, key=lambda q: (len(q), q)):
-            bits.append(f"{self.terms[p]!r}*e{list(p)}")
-        return "FormExpr(" + " + ".join(bits) + ")"
+        order = sorted(self.terms, key=lambda q: (len(q), q))
+        bits = [f"{self.terms[p]!r}*e{list(p)}" for p in order]
+        return "FormExpr(" + (" + ".join(bits) or "0") + ")"
 
 
 def _subtract(row: dict, c, prow: dict, lead: Path) -> None:
@@ -280,20 +284,21 @@ class ReducedCalculus:
     fresh rows of degree r need them.
 
     A normal form reduces each pivot through its relation row, which
-    `_row` extends from the pivot's fresh prefix and keeps in a memo.  A
-    degree's relation rows (`relations_by_degree`, `_pivots_by_degree`) are
-    listed on first read, by extending the previous degree's rows
-    (`_table`).  A degree's admissible paths are enumerated, and kept, when
-    `basis` or `basis_by_degree` first reads them.
+    `_row` alone extends from the pivot's fresh prefix and keeps in a memo.
+    A degree's relation rows (`relations_by_degree`, `_pivots_by_degree`)
+    are listed on first read by `_table`, through `_row`, and its normal
+    words (`_normal`) are one ordered dict.  A degree's admissible paths are
+    enumerated, and kept, when `basis` or `basis_by_degree` first reads them.
     """
 
     def __init__(self, graph: Digraph, degree_cap: int = DEFAULT_DEGREE_CAP):
         if integer(degree_cap, "degree_cap") < 1:
             raise ValidationError("degree_cap must be at least 1")
+        if not isinstance(graph, Digraph):
+            raise ValidationError("a calculus needs a Digraph")
         self.graph = graph
         self.degree_cap = degree_cap
-        self._arrows = frozenset(graph.arrows)
-        self._deleted = complete_arrows(graph.n) - self._arrows
+        self._arrows = graph.arrows
         n = graph.n
         # out- and in-neighbours of each vertex, in ascending order
         self._out: list[list[int]] = [[] for _ in range(n)]
@@ -301,13 +306,12 @@ class ReducedCalculus:
         for i, j in sorted(self._arrows):
             self._out[i].append(j)
             self._in[j].append(i)
-        self._path_counts: list[int] = []
+        self._path_counts: list[int] = [n]
         self._bases: list[list[Path]] = [[(i,) for i in range(n)]]
-        self._normal_words: list[list[Path]] = [[(i,) for i in range(n)]]
-        self._normal_sets: list[set[Path]] = []
-        self._fresh: list[dict[Path, dict]] = []
-        self._pivot_counts: list[int] = []
-        self._memo: dict[Path, dict] = {}  # extended rows that normal forms met
+        self._normal_words: list[dict[Path, None]] = [dict.fromkeys(self._bases[0])]
+        self._fresh: list[dict[Path, dict]] = [{}]
+        self._pivot_counts: list[int] = [0]
+        self._memo: dict[Path, dict] = {}  # every extended row made so far
         self._tables: list[dict[Path, dict]] = [{}]
         self._forms: dict[int, list[FormExpr]] = {}
         self.max_degree: int | None = None
@@ -318,17 +322,15 @@ class ReducedCalculus:
 
     def _build(self):
         n = self.graph.n
+        deleted = complete_arrows(n) - self._arrows
         # two-arrow detours i -> k -> j around each deleted arrow (i, j)
         detours = []
-        for (i, j) in sorted(self._deleted):
+        for (i, j) in sorted(deleted):
             mids = [k for k in self._out[i] if (k, j) in self._arrows]
             if mids:
                 detours.append((i, j, mids))
         ends = [1] * n  # admissible paths of the current degree, per end vertex
         blocks: dict[tuple[int, int], int] = {}  # pivots per (start, end) pair
-        self._path_counts.append(n)
-        self._fresh.append({})
-        self._pivot_counts.append(0)
         for r in range(1, self.degree_cap + 1):
             pushed = [0] * n
             for count, targets in zip(ends, self._out):
@@ -369,27 +371,20 @@ class ReducedCalculus:
             bases.append([p + (j,) for p in bases[-1] for j in self._out[p[-1]]])
         return bases[r]
 
-    def _normal(self, r: int) -> list[Path]:
+    def _normal(self, r: int) -> dict[Path, None]:
         """The degree-r normal words, the admissible paths that are not
-        pivots, in lexicographic order.  A pivot extended by an arrow is a
-        pivot, and a normal word extended by an arrow is a normal word or a
-        fresh lead, so they are extended from the highest degree listed so
-        far, and kept."""
+        pivots, as dict keys in lexicographic order.  A pivot extended by an
+        arrow is a pivot, and a normal word extended by an arrow is a normal
+        word or a fresh lead, so they are extended from the highest degree
+        listed so far, and kept."""
         words = self._normal_words
         while len(words) <= r:
             fresh = self._fresh[len(words)]
-            words.append([
+            words.append(dict.fromkeys([
                 q for w in words[-1] for v in self._out[w[-1]]
                 if (q := w + (v,)) not in fresh
-            ])
+            ]))
         return words[r]
-
-    def _normal_set(self, r: int) -> set[Path]:
-        """The degree-r normal words as a set, made on first use."""
-        sets = self._normal_sets
-        while len(sets) <= r:
-            sets.append(set(self._normal(len(sets))))
-        return sets[r]
 
     @property
     def basis_by_degree(self) -> list[list[Path]]:
@@ -421,8 +416,7 @@ class ReducedCalculus:
         a fresh lead of degree r-1, so each row of (ii) is reduced against
         those fresh rows, extended by j, in one pass over its own paths.  The
         remainders hold no extended lead; one `_rref` call eliminates them
-        into the fresh rows, which `_extended` then clears from the extended
-        rows.
+        into the fresh rows, which `_row` then clears from the extended rows.
         """
         rows: list[dict] = []
         if r >= 2 and detours:
@@ -443,13 +437,13 @@ class ReducedCalculus:
                         rows.append(row)
         return _rref(rows)
 
-    @staticmethod
-    def _extended(row: dict, v: int, fresh: dict) -> dict:
-        """The relation row of lead + (v,), from the row of a degree r-1
-        pivot and the degree-r fresh rows.
+    def _row(self, lead: Path) -> dict:
+        """The relation row of a pivot: its fresh row, or the row of the
+        pivot one arrow shorter, extended by the last arrow; extended rows
+        are memoised, and this is the only code that extends a row.
 
-        The row extended by the arrow to v is in the degree-r span and holds
-        no other extended lead; clearing the fresh leads, each in one pass
+        The row extended by the arrow is in the degree-r span and holds no
+        other extended lead; clearing the fresh leads, each in one pass
         since the fresh rows hold no lead but their own, leaves it reduced.
         A fresh lead lies past the extended lead, which stays the row's least
         path, so a row of one entry needs no clearing.  The union of these
@@ -457,42 +451,34 @@ class ReducedCalculus:
         every degree-r generator, so by uniqueness of that form it equals one
         elimination over all of them.
         """
-        out = {p + (v,): c for p, c in row.items()}
-        if fresh and len(out) > 1:
-            for p in [p for p in out if p in fresh]:
-                _subtract(out, out.pop(p), fresh[p], p)
-        return out
-
-    def _row(self, lead: Path) -> dict:
-        """The relation row of a pivot: its fresh row, or the row of the
-        pivot one arrow shorter, extended; extended rows are memoised."""
         row = self._memo.get(lead)
         if row is None:
             fresh = self._fresh[len(lead) - 1]
             row = fresh.get(lead)
             if row is None:
-                row = self._extended(self._row(lead[:-1]), lead[-1], fresh)
+                prefix = lead[:-1]
+                below = self._row(prefix)
+                if len(below) == 1:
+                    row = {lead: below[prefix]}
+                else:
+                    row = {p + lead[-1:]: c for p, c in below.items()}
+                    for p in [p for p in row if p in fresh]:
+                        _subtract(row, row.pop(p), fresh[p], p)
                 self._memo[lead] = row
         return row
 
     def _table(self, r: int) -> dict[Path, dict]:
-        """The degree-r relation rows by lead, in lead order: every degree
-        r-1 row extended by every arrow out of its end, plus the fresh rows.
-        Listed degree by degree up to r on first read, and kept.  The
-        extended leads come out in lead order, so the sort mostly merges the
-        fresh leads into them."""
+        """The degree-r relation rows by lead, in lead order, read through
+        `_row`: the leads are the degree r-1 leads extended by every arrow
+        out of their end, plus the fresh leads.  Listed degree by degree up
+        to r on first read, and kept.  The extended leads come out in lead
+        order, so the sort mostly merges the fresh leads into them."""
         tables = self._tables
         while len(tables) <= r:
-            fresh = self._fresh[len(tables)]
-            rows = []
-            for lead, row in tables[-1].items():
-                single = len(row) == 1
-                for v in self._out[lead[-1]]:
-                    q = lead + (v,)
-                    rows.append((q, {q: row[lead]} if single else self._extended(row, v, fresh)))
-            rows += fresh.items()
-            rows.sort()  # leads are distinct, so rows are never compared
-            tables.append(dict(rows))
+            leads = [lead + (v,) for lead in tables[-1] for v in self._out[lead[-1]]]
+            leads += self._fresh[len(tables)]
+            leads.sort()
+            tables.append({q: self._row(q) for q in leads})
         return tables[r]
 
     @property
@@ -530,7 +516,7 @@ class ReducedCalculus:
         )
 
     def dimension(self, r: int) -> int:
-        if not self._built(r):
+        if not self._built(integer(r, "degree")):
             return 0
         return self._path_counts[r] - self._pivot_counts[r]
 
@@ -538,10 +524,10 @@ class ReducedCalculus:
         return [self.dimension(r) for r in range(len(self._path_counts))]
 
     def basis(self, r: int) -> list[Path]:
-        return list(self._basis(r)) if self._built(r) else []
+        return list(self._basis(r)) if self._built(integer(r, "degree")) else []
 
     def relations(self, r: int) -> list[FormExpr]:
-        return list(self._relations(r)) if self._built(r) else []
+        return list(self._relations(r)) if self._built(integer(r, "degree")) else []
 
     def is_admissible_path(self, path: Path) -> bool:
         if len(path) == 1:
@@ -552,6 +538,8 @@ class ReducedCalculus:
         return FormExpr({(i,): 1 for i in range(self.graph.n)})
 
     def _require_valid(self, expr: FormExpr):
+        if not isinstance(expr, FormExpr):
+            raise ValidationError(f"operand {expr!r} is not a FormExpr")
         for p in expr.terms:
             if not self.is_admissible_path(p):
                 raise ValidationError(f"path {p} is not admissible in this calculus")
@@ -575,7 +563,7 @@ class ReducedCalculus:
             if not self._built(r):  # past max_degree every form is zero
                 out = {p: c for p, c in out.items() if len(p) - 1 != r}
             elif self._pivot_counts[r]:
-                normal[r] = self._normal_set(r)
+                normal[r] = self._normal(r)
         if normal:
             memo = self._memo
             for p in list(out):
@@ -629,12 +617,7 @@ class ReducedCalculus:
                 f"need one value per point, got {len(values)} for {self.graph.n}"
             )
         values = [finite_number(v, "function value") for v in values]
-        out = {}
-        for (i, j) in sorted(self._arrows):
-            c = values[j] - values[i]
-            if c != 0:
-                out[(i, j)] = c
-        return FormExpr(out)
+        return FormExpr({(i, j): values[j] - values[i] for (i, j) in sorted(self._arrows)})
 
 
 def build_universal(n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> ReducedCalculus:
@@ -648,12 +631,8 @@ def reduce(
 ) -> ReducedCalculus:
     """Quotient calculus keeping only the given arrows of the complete graph,
     up to the universal calculus's degree cap."""
-    kept = frozenset(tuple(a) for a in kept_arrows)
-    extra = kept - complete_arrows(universal.graph.n)
-    if extra:
-        raise ValidationError(f"arrows {sorted(extra)} not in the complete digraph")
     return ReducedCalculus(
-        Digraph(universal.graph.base, kept), degree_cap=universal.degree_cap
+        Digraph(universal.graph.base, kept_arrows), degree_cap=universal.degree_cap
     )
 
 

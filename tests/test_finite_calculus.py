@@ -620,6 +620,12 @@ def test_relations_on_read_and_normal_forms_in_either_order(case):
         ]
     for got in (after, before):
         assert all(same_terms(x, y) for x, y in zip(got, expected, strict=True))
+    # a row met by a normal form and by a read is one dict
+    for calc in (relations_first, algebra_first):
+        for r in range(top + 1):
+            table = calc._table(r)
+            assert all(table[lead] is calc._memo[lead] for lead in table
+                       if lead not in calc._fresh[r])
 
 
 # -- the lattice calculus as the digraph calculus of an oriented grid -------
@@ -775,7 +781,7 @@ def test_normal_words_are_the_quotient_basis(case):
     n, arrows, cap = case
     calc = ReducedCalculus(Digraph.from_arrows(n, arrows), cap)
     for r, pivots in enumerate(calc._pivots_by_degree):
-        words = calc._normal(r)
+        words = list(calc._normal(r))
         assert words == [p for p in brute_force_paths(n, arrows, r) if p not in pivots]
         assert len(words) == calc.dimension(r)
 

@@ -26,6 +26,7 @@ from ncgeom.finite_calculus import (
     calculus_for,
     function_differential,
     multiply,
+    reduce,
 )
 from ncgeom.lattice import LatticeField, LatticeOneForm, LatticeSpec, StructureTensor
 from ncgeom.matrix_rep import (
@@ -86,6 +87,9 @@ ENTRY_POINTS = {
     ),
     "from_digraph length": lambda v: AdjacencyMatrix.from_digraph(ARROW, {(0, 1): v}),
     "degree_cap": lambda v: calculus_for(Digraph.from_arrows(2, [(0, 1)]), v),
+    "dimension degree": lambda v: ARROW_CALCULUS.dimension(v),
+    "basis degree": lambda v: ARROW_CALCULUS.basis(v),
+    "relations degree": lambda v: ARROW_CALCULUS.relations(v),
     "HodgeStar c0": lambda v: HodgeStar(c0=v),
     "HodgeStar c1": lambda v: HodgeStar(c1=v),
     "TodaState l0": lambda v: TodaState(BUMP, BUMP, v, 1.0),
@@ -150,6 +154,8 @@ REJECTED = {
     "-inf maurer_cartan": lambda: maurer_cartan(LatticeField.constant(PLANE, -np.inf)),
     "fractional vertex": lambda: calculus_for(Digraph.from_arrows(3, [(0, 1.5)])),
     "fractional path vertex": lambda: FormExpr({(0.5,): 1}),
+    "nan coefficient": lambda: FormExpr({(0, 1): math.nan}),
+    "inf scalar": lambda: math.inf * FormExpr.from_path((0, 1)),
     "bool length": lambda: AdjacencyMatrix.from_digraph(ARROW, {(0, 1): True}),
     "fractional cap": lambda: calculus_for(Digraph.from_arrows(2, [(0, 1)]), 2.5),
     "string spacing l0": lambda: TodaState(BUMP, BUMP, "0.5", 1.0),
@@ -230,6 +236,16 @@ UNREACHED = {
     "non-square operator": lambda: base_matrix(np.zeros((2, 3))),
     "represent length": lambda: double(TWO_POINT).represent([1.0, 2.0, 3.0]),
     "slice shapes differ": lambda: TodaState(BUMP, BUMP[:3], 0.5, 1.0),
+    "arrows not iterable": lambda: Digraph(FiniteSet.of_size(3), 5),
+    "calculus of arrows": lambda: calculus_for([(0, 1)]),
+    "fractional dimension degree": lambda: ARROW_CALCULUS.dimension(1.5),
+    "float relations degree": lambda: ARROW_CALCULUS.relations(1.0),
+    "string basis degree": lambda: ARROW_CALCULUS.basis("a"),
+    "bool dimension degree": lambda: ARROW_CALCULUS.dimension(True),
+    "int operand": lambda: ARROW_CALCULUS.multiply(1, ARROW_CALCULUS.unit()),
+    "dict operand": lambda: ARROW_CALCULUS.differential({(0, 1): 1}),
+    "list of terms": lambda: FormExpr([((0, 1), 1)]),
+    "arrow not a pair in reduce": lambda: reduce(build_universal(3), [5]),
 }
 
 
@@ -237,6 +253,16 @@ UNREACHED = {
 def test_unreached_validation_branches(name):
     with pytest.raises(ValidationError):
         UNREACHED[name]()
+
+
+def test_list_labels_and_arrows_are_stored_hashable():
+    # each was once kept as a list, which made the digraph unhashable
+    graph = Digraph(FiniteSet(["a", "b", "c"]), [(0, 1), [1, 2]])
+    assert graph.base.labels == ("a", "b", "c")
+    assert graph.arrows == frozenset({(0, 1), (1, 2)})
+    assert hash(graph) == hash(Digraph(FiniteSet(("a", "b", "c")), {(1, 2), (0, 1)}))
+    lengths = {(0, 1): 2.0}
+    assert AdjacencyMatrix.from_digraph(graph, lengths).entries[0, 1] == 0.5
 
 
 def test_products_past_the_top_degree_vanish():
