@@ -10,20 +10,22 @@ pivot is a degree r-1 pivot extended by an arrow, or the lead of a fresh
 row: a generator whose detour ends the path, taken only at the normal words
 (the paths that are not pivots, which form the quotient basis) and reduced.
 So the build keeps each degree's fresh rows and counts: admissible paths
-per end vertex and pivots per (start, end) pair, pushed along the arrows.
-A path that is not a normal word has a fresh prefix, and its row is that
-prefix's fresh row extended one arrow at a time, each step cleared of the
-new degree's fresh leads.  This is prefix rewriting with a noncommutative
-Groebner basis (Mora, Theoret. Comput. Sci. 134, 1994); normal forms and
-reads of the relations share one memo of these rows per calculus.  A
-degree's relation rows are listed when first read, and its admissible
+and normal words per end vertex, pushed along the arrows, the fresh leads
+taken off the normal words.  A path that is not a normal word has a fresh
+prefix, and its row is that prefix's fresh row extended one arrow at a
+time, each step cleared of the new degree's fresh leads.  This is prefix
+rewriting with a noncommutative Groebner basis (Mora, Theoret. Comput.
+Sci. 134, 1994); normal forms and reads of the relations share one memo of
+these rows per calculus.  A degree's relation rows, one per admissible path
+that is not a normal word, are listed when first read, and its admissible
 paths likewise.  Relations are eliminated exactly, over ints that become
 `Fraction` only at a pivot other than +1 or -1, so dimensions and normal
 forms carry no floating point error.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
-whenever the inputs are exact.  No sum starts from an implicit zero and no
+whenever the inputs are exact, and raise NumericError where a float or
+complex coefficient overflows.  No sum starts from an implicit zero and no
 sign is applied by multiplying by +1 or -1: a path met for the first time
 takes its term as it is, a sign is applied as `-c`, and a column new to a
 row takes `-(c * v)`.  Over `Fraction`s each implicit-zero step would be a
@@ -32,13 +34,15 @@ full operation that only re-creates a value already at hand.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import ValidationError, finite_number, integer
+from .errors import NumericError, ValidationError, finite_number, integer
 
 logger = logging.getLogger(__name__)
 
@@ -54,10 +58,14 @@ class FiniteSet:
     labels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        try:
+            object.__setattr__(self, "labels", tuple(self.labels))
+            distinct = len(set(self.labels))
+        except TypeError:
+            raise ValidationError("point labels must be an iterable of hashables") from None
         if len(self.labels) < 1:
             raise ValidationError("finite set needs at least one point")
-        if len(set(self.labels)) != len(self.labels):
+        if distinct != len(self.labels):
             raise ValidationError("point labels must be distinct")
 
     @classmethod
@@ -87,6 +95,8 @@ class Digraph:
     arrows: frozenset
 
     def __post_init__(self):
+        if not isinstance(self.base, FiniteSet):
+            raise ValidationError("a digraph's base must be a FiniteSet")
         try:
             object.__setattr__(self, "arrows", frozenset(map(tuple, self.arrows)))
         except TypeError:
@@ -119,6 +129,24 @@ def _check_path(path) -> Path:
         if a == b:
             raise ValidationError(f"path {path!r} repeats consecutive vertex {a}")
     return path
+
+
+def _finite_terms(fn):
+    """Make `fn` raise NumericError where a float or complex coefficient of
+    its FormExpr is not finite; exact coefficients are told apart by type."""
+
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            out = fn(*args)
+        except OverflowError as exc:  # an exact coefficient too large for a float
+            raise NumericError(f"non-finite coefficient in {fn.__name__}: {exc}") from None
+        for c in () if out is NotImplemented else out.terms.values():
+            if (type(c) is float or type(c) is complex) and not cmath.isfinite(c):
+                raise NumericError(f"non-finite coefficient {c!r} in {fn.__name__}")
+        return out
+
+    return checked
 
 
 class FormExpr:
@@ -170,6 +198,7 @@ class FormExpr:
             return NotImplemented
         return self.terms == other.terms
 
+    @_finite_terms
     def __add__(self, other):
         if not isinstance(other, FormExpr):
             return NotImplemented
@@ -185,6 +214,7 @@ class FormExpr:
                 del out[p]
         return FormExpr._of(out)
 
+    @_finite_terms
     def __rmul__(self, scalar):
         finite_number(scalar, "scalar")
         # a float product can underflow to 0.0, which is not stored
@@ -251,7 +281,7 @@ def _rref(rows: list[dict]) -> dict:
 
 class _Relations(Sequence):
     """View of one degree's relation rows as forms, in lead order: its length
-    is the build's pivot count, and the rows are listed when first read."""
+    is the build's count of paths less normal words, the rows listed on read."""
 
     __slots__ = ("_calc", "_degree")
 
@@ -260,13 +290,10 @@ class _Relations(Sequence):
         self._degree = degree
 
     def __len__(self):
-        return self._calc._pivot_counts[self._degree]
+        return self._calc._path_counts[self._degree] - self._calc.dimension(self._degree)
 
     def __getitem__(self, index):
         return self._calc._relations(self._degree)[index]
-
-    def __iter__(self):
-        return iter(self._calc._relations(self._degree))
 
 
 class ReducedCalculus:
@@ -277,18 +304,19 @@ class ReducedCalculus:
     comes first.  Past the cap the calculus reports itself truncated rather
     than guessing.  Each degree keeps its fresh rows (`_fresh_rows`), the
     reduced generators whose leads are not pivots of the degree below, and
-    two counts: admissible paths, and pivots, which are the degree r-1
-    pivots extended by every arrow plus the fresh leads.  The dimension is
-    their difference.  Nothing else is listed at build time: the normal
-    words of degree r - 2, the paths that are not pivots, only when the
-    fresh rows of degree r need them.
+    two counts: admissible paths, and normal words, which are the degree r-1
+    normal words extended by every arrow less the fresh leads.  The
+    dimension is the second count.  Nothing else is listed at build time:
+    the normal words of degree r - 2 only when the fresh rows of degree r
+    need them.
 
     A normal form reduces each pivot through its relation row, which
     `_row` alone extends from the pivot's fresh prefix and keeps in a memo.
     A degree's relation rows (`relations_by_degree`, `_pivots_by_degree`)
-    are listed on first read by `_table`, through `_row`, and its normal
-    words (`_normal`) are one ordered dict.  A degree's admissible paths are
-    enumerated, and kept, when `basis` or `basis_by_degree` first reads them.
+    are read by `_table` through `_row`, at the admissible paths that are
+    not normal words; `_relations` keeps them as forms once listed.  A
+    degree's normal words (`_normal`) are one ordered dict, and its
+    admissible paths are enumerated, and kept, when first read.
     """
 
     def __init__(self, graph: Digraph, degree_cap: int = DEFAULT_DEGREE_CAP):
@@ -306,13 +334,19 @@ class ReducedCalculus:
         for i, j in sorted(self._arrows):
             self._out[i].append(j)
             self._in[j].append(i)
+        # the middle vertices k of the two-arrow paths i -> k -> j, ascending
+        self._mids: dict[tuple[int, int], list[int]] = {}
+        for i in range(n):
+            for k in self._out[i]:
+                for j in self._out[k]:
+                    if j != i:
+                        self._mids.setdefault((i, j), []).append(k)
         self._path_counts: list[int] = [n]
+        self._word_counts: list[int] = [n]
         self._bases: list[list[Path]] = [[(i,) for i in range(n)]]
         self._normal_words: list[dict[Path, None]] = [dict.fromkeys(self._bases[0])]
         self._fresh: list[dict[Path, dict]] = [{}]
-        self._pivot_counts: list[int] = [0]
         self._memo: dict[Path, dict] = {}  # every extended row made so far
-        self._tables: list[dict[Path, dict]] = [{}]
         self._forms: dict[int, list[FormExpr]] = {}
         self.max_degree: int | None = None
         self.truncated = False
@@ -322,43 +356,32 @@ class ReducedCalculus:
 
     def _build(self):
         n = self.graph.n
-        deleted = complete_arrows(n) - self._arrows
         # two-arrow detours i -> k -> j around each deleted arrow (i, j)
-        detours = []
-        for (i, j) in sorted(deleted):
-            mids = [k for k in self._out[i] if (k, j) in self._arrows]
-            if mids:
-                detours.append((i, j, mids))
+        detours = [(i, j, ks) for (i, j), ks in sorted(self._mids.items())
+                   if (i, j) not in self._arrows]
         ends = [1] * n  # admissible paths of the current degree, per end vertex
-        blocks: dict[tuple[int, int], int] = {}  # pivots per (start, end) pair
+        words = [1] * n  # and its normal words
         for r in range(1, self.degree_cap + 1):
-            pushed = [0] * n
-            for count, targets in zip(ends, self._out):
+            pushed, pushed_words = [0] * n, [0] * n
+            for count, word_count, targets in zip(ends, words, self._out):
                 for j in targets:
                     pushed[j] += count
-            ends = pushed
-            self._path_counts.append(sum(ends))
+                    pushed_words[j] += word_count
+            ends, words = pushed, pushed_words
             start = time.perf_counter()
             fresh = self._fresh_rows(r, detours)
             elapsed = time.perf_counter() - start
             self._fresh.append(fresh)
-            extended: dict[tuple[int, int], int] = {}
-            for (i, k), count in blocks.items():
-                for j in self._out[k]:
-                    extended[i, j] = extended.get((i, j), 0) + count
             for lead in fresh:
-                block = (lead[0], lead[-1])
-                extended[block] = extended.get(block, 0) + 1
-            blocks = extended
-            pivots = sum(blocks.values())
-            self._pivot_counts.append(pivots)
-            if logger.isEnabledFor(logging.DEBUG):
-                logger.debug(
-                    "degree %d: %d paths, %d relations, %d endpoint blocks, "
-                    "elimination %.6f s",
-                    r, self._path_counts[r], pivots, len(blocks), elapsed,
-                )
-            if self._path_counts[r] == pivots:
+                words[lead[-1]] -= 1
+            paths, dim = sum(ends), sum(words)
+            self._path_counts.append(paths)
+            self._word_counts.append(dim)
+            logger.debug(
+                "degree %d: %d paths, %d relations, elimination %.6f s",
+                r, paths, paths - dim, elapsed,
+            )
+            if not dim:
                 self.max_degree = r
                 return
         self.truncated = True
@@ -376,7 +399,7 @@ class ReducedCalculus:
         pivots, as dict keys in lexicographic order.  A pivot extended by an
         arrow is a pivot, and a normal word extended by an arrow is a normal
         word or a fresh lead, so they are extended from the highest degree
-        listed so far, and kept."""
+        listed so far, and kept; `_build` counts them the same way."""
         words = self._normal_words
         while len(words) <= r:
             fresh = self._fresh[len(words)]
@@ -444,42 +467,28 @@ class ReducedCalculus:
 
         The row extended by the arrow is in the degree-r span and holds no
         other extended lead; clearing the fresh leads, each in one pass
-        since the fresh rows hold no lead but their own, leaves it reduced.
-        A fresh lead lies past the extended lead, which stays the row's least
-        path, so a row of one entry needs no clearing.  The union of these
-        rows and the fresh rows is in reduced row echelon form and spans
-        every degree-r generator, so by uniqueness of that form it equals one
-        elimination over all of them.
+        since the fresh rows hold no lead but their own, leaves it reduced;
+        a fresh lead is never an extended lead, so the extended lead stays.
+        The union of these rows and the fresh rows is in reduced row echelon
+        form and spans every degree-r generator, so by uniqueness of that
+        form it equals one elimination over all of them.
         """
         row = self._memo.get(lead)
         if row is None:
             fresh = self._fresh[len(lead) - 1]
             row = fresh.get(lead)
             if row is None:
-                prefix = lead[:-1]
-                below = self._row(prefix)
-                if len(below) == 1:
-                    row = {lead: below[prefix]}
-                else:
-                    row = {p + lead[-1:]: c for p, c in below.items()}
-                    for p in [p for p in row if p in fresh]:
-                        _subtract(row, row.pop(p), fresh[p], p)
+                row = {p + lead[-1:]: c for p, c in self._row(lead[:-1]).items()}
+                for p in [p for p in row if p in fresh]:
+                    _subtract(row, row.pop(p), fresh[p], p)
                 self._memo[lead] = row
         return row
 
     def _table(self, r: int) -> dict[Path, dict]:
-        """The degree-r relation rows by lead, in lead order, read through
-        `_row`: the leads are the degree r-1 leads extended by every arrow
-        out of their end, plus the fresh leads.  Listed degree by degree up
-        to r on first read, and kept.  The extended leads come out in lead
-        order, so the sort mostly merges the fresh leads into them."""
-        tables = self._tables
-        while len(tables) <= r:
-            leads = [lead + (v,) for lead in tables[-1] for v in self._out[lead[-1]]]
-            leads += self._fresh[len(tables)]
-            leads.sort()
-            tables.append({q: self._row(q) for q in leads})
-        return tables[r]
+        """The degree-r relation rows by lead, in lead order: one per
+        admissible path that is not a normal word, read through `_row`."""
+        normal = self._normal(r)
+        return {p: self._row(p) for p in self._basis(r) if p not in normal}
 
     @property
     def _pivots_by_degree(self) -> list[dict[Path, dict]]:
@@ -518,7 +527,7 @@ class ReducedCalculus:
     def dimension(self, r: int) -> int:
         if not self._built(integer(r, "degree")):
             return 0
-        return self._path_counts[r] - self._pivot_counts[r]
+        return self._word_counts[r]
 
     def dimensions(self) -> list[int]:
         return [self.dimension(r) for r in range(len(self._path_counts))]
@@ -562,7 +571,7 @@ class ReducedCalculus:
         for r in {len(p) - 1 for p in out}:
             if not self._built(r):  # past max_degree every form is zero
                 out = {p: c for p, c in out.items() if len(p) - 1 != r}
-            elif self._pivot_counts[r]:
+            elif self._word_counts[r] != self._path_counts[r]:
                 normal[r] = self._normal(r)
         if normal:
             memo = self._memo
@@ -572,6 +581,7 @@ class ReducedCalculus:
                     _subtract(out, out.pop(p), memo.get(p) or self._row(p), p)
         return FormExpr._of(out)
 
+    @_finite_terms
     def multiply(self, a: FormExpr, b: FormExpr) -> FormExpr:
         """Concatenation product: e_{..i} e_{j..} = delta_ij e_{..i j..}."""
         self._require_valid(a)
@@ -587,6 +597,7 @@ class ReducedCalculus:
                 out[path] = term if old is None else old + term
         return self._normalized(out)
 
+    @_finite_terms
     def differential(self, a: FormExpr) -> FormExpr:
         """Insert, at every slot with alternating sign, every vertex that an
         arrow joins to its neighbours there, in ascending order."""
@@ -601,8 +612,7 @@ class ReducedCalculus:
                 elif pos == len(P):
                     mids = self._out[P[-1]]
                 else:
-                    right = P[pos]
-                    mids = [j for j in self._out[P[pos - 1]] if (j, right) in self._arrows]
+                    mids = self._mids.get((P[pos - 1], P[pos]), ())
                 for j in mids:
                     path = P[:pos] + (j,) + P[pos:]
                     old = out.get(path)

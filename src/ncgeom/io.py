@@ -13,7 +13,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, positive_real
 from .finite_calculus import Digraph, FiniteSet
 
 
@@ -52,6 +52,16 @@ def dumps_canonical(obj) -> str:
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _add_arrow(arrows: set, arrow: tuple, where: str) -> None:
+    """Add an arrow, a pair of point indices, unless it is a self loop or a
+    repeat; `where` names the file and the entry or line in the message."""
+    if arrow[0] == arrow[1]:
+        raise ValidationError(f"{where}: self loop not allowed")
+    if arrow in arrows:
+        raise ValidationError(f"{where}: duplicate arrow")
+    arrows.add(arrow)
+
+
 def _parse_graph_json(text: str, path: str):
     try:
         data = json.loads(text)
@@ -74,47 +84,31 @@ def _parse_graph_json(text: str, path: str):
             raise ValidationError(f"{path}: duplicate point label {label!r}")
         index[label] = k
 
-    def known(*labels):
-        return all(type(lab) in (str, int) and lab in index for lab in labels)
+    def arrow_of(entry, what: str, fields: tuple) -> tuple:
+        """The point indices (from, to) of an entry, a list of `fields`."""
+        if not isinstance(entry, list) or len(entry) != len(fields):
+            raise ValidationError(f"{path}: {what} {entry!r} must be [{', '.join(fields)}]")
+        if not all(type(lab) in (str, int) and lab in index for lab in entry[:2]):
+            raise ValidationError(f"{path}: {what} {entry!r} references unknown point")
+        return index[entry[0]], index[entry[1]]
 
     arrows = set()
     for entry in data.get("arrows", []):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ValidationError(f"{path}: arrow {entry!r} must be a [from, to] pair")
-        a, b = entry
-        if not known(a, b):
-            raise ValidationError(f"{path}: arrow {entry!r} references unknown point")
-        if a == b:
-            raise ValidationError(f"{path}: self loop {entry!r} not allowed")
-        arrow = (index[a], index[b])
-        if arrow in arrows:
-            raise ValidationError(f"{path}: duplicate arrow {entry!r}")
-        arrows.add(arrow)
+        arrow = arrow_of(entry, "arrow", ("from", "to"))
+        _add_arrow(arrows, arrow, f"{path}: arrow {entry!r}")
     lengths = None
     if "lengths" in data:
         lengths = {}
         for entry in data["lengths"]:
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ValidationError(
-                    f"{path}: length entry {entry!r} must be [from, to, length]"
-                )
-            a, b, ell = entry
-            if not known(a, b):
-                raise ValidationError(
-                    f"{path}: length entry {entry!r} references unknown point"
-                )
-            if type(ell) not in (int, float) or not 0 < ell < math.inf:
-                raise ValidationError(
-                    f"{path}: length for {entry!r} must be positive and finite"
-                )
-            arrow = (index[a], index[b])
+            arrow = arrow_of(entry, "length entry", ("from", "to", "length"))
+            ell = positive_real(entry[2], f"{path}: length for {entry!r}")
             if arrow not in arrows:
                 raise ValidationError(
                     f"{path}: length entry {entry!r} names an arrow not in 'arrows'"
                 )
             if arrow in lengths:
                 raise ValidationError(f"{path}: second length for arrow {entry!r}")
-            lengths[arrow] = float(ell)
+            lengths[arrow] = ell
     graph = Digraph(FiniteSet(tuple(points)), frozenset(arrows))
     return graph, lengths
 
@@ -124,7 +118,6 @@ def _parse_edge_list(text: str, path: str):
     index: dict = {}
     arrows = set()
     lengths: dict = {}
-    saw_length = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,33 +128,24 @@ def _parse_edge_list(text: str, path: str):
                 f"{path}: line {lineno}: expected 'from to [length]', got {raw!r}"
             )
         a, b = parts[0], parts[1]
-        if a == b:
-            raise ValidationError(f"{path}: line {lineno}: self loop {a!r}")
         for lab in (a, b):
             if lab not in index:
                 index[lab] = len(labels)
                 labels.append(lab)
         arrow = (index[a], index[b])
-        if arrow in arrows:
-            raise ValidationError(f"{path}: line {lineno}: duplicate arrow {a} {b}")
-        arrows.add(arrow)
+        _add_arrow(arrows, arrow, f"{path}: line {lineno}: arrow {a} {b}")
         if len(parts) == 3:
-            saw_length = True
             try:
                 ell = float(parts[2])
             except ValueError:
                 raise ValidationError(
                     f"{path}: line {lineno}: bad length {parts[2]!r}"
                 ) from None
-            if not 0 < ell < math.inf:
-                raise ValidationError(
-                    f"{path}: line {lineno}: length must be positive and finite"
-                )
-            lengths[arrow] = ell
+            lengths[arrow] = positive_real(ell, f"{path}: line {lineno}: length")
     if not labels:
         raise ValidationError(f"{path}: no arrows found")
     graph = Digraph(FiniteSet(tuple(labels)), frozenset(arrows))
-    return graph, (lengths if saw_length else None)
+    return graph, (lengths or None)
 
 
 def load_digraph(path):

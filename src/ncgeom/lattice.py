@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, integer, positive_real
+from .errors import ValidationError, integer, overflow_is_numeric, positive_real
 
 Window = tuple[tuple[int, int], ...]
 
@@ -164,6 +164,7 @@ class LatticeField:
 
     # -- arithmetic -------------------------------------------------------
 
+    @overflow_is_numeric
     def _binary(self, other, op, matmul: bool):
         if isinstance(other, LatticeField):
             win = intersect_windows(self.spec.window, other.spec.window)
@@ -192,11 +193,12 @@ class LatticeField:
         return self._binary(other, np.multiply, matmul=True)
 
     def __rmul__(self, scalar):
-        return LatticeField(self.spec, scalar * self.values)
+        return self._binary(scalar, np.multiply, matmul=False)
 
     def __truediv__(self, scalar):
-        return LatticeField(self.spec, self.values / scalar)
+        return self._binary(scalar, np.divide, matmul=False)
 
+    @overflow_is_numeric
     def inverse(self) -> "LatticeField":
         """Pointwise inverse; matrix fields invert sitewise."""
         return LatticeField(self.spec, invert_values(self.values, self.spec.window))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, finite_array, positive_real
+from .errors import ValidationError, finite_array, overflow_is_numeric, positive_real
 from .finite_calculus import Digraph
 
 TRIPLE_TOL = 1e-12
@@ -114,6 +114,7 @@ def represent_function(values) -> np.ndarray:
     return np.diag(f)
 
 
+@overflow_is_numeric
 def commutator_differential(matrix, values) -> np.ndarray:
     """[D, f] entrywise: D_ij (f(j) - f(i)), for finite real or complex f."""
     d = base_matrix(matrix)

@@ -187,28 +187,26 @@ def _max_abs(v) -> float:
     return float(np.abs(v, out=v).max(initial=0.0))
 
 
+def _diff(v, start, axis, spacing):
+    """Forward difference of v along axis 0 or 1 over `spacing`, on the
+    window of v less its last row and column, which starts where v does."""
+    ahead = v[1:, :-1] if axis == 0 else v[:-1, 1:]
+    _check_overlap(start, v.shape, (-1, 0) if axis == 0 else (0, -1), (0, 0))
+    d = np.subtract(ahead, v[:-1, :-1])
+    d /= spacing
+    return d
+
+
 def _d(v, start, l0, l1):
-    """(d_0 v, d_1 v): forward differences on the window of v less its last
-    row and column, which starts where v does."""
-    _check_overlap(start, v.shape, (-1, 0), (0, 0))
-    _check_overlap(start, v.shape, (0, -1), (0, 0))
-    d0 = np.subtract(v[1:, :-1], v[:-1, :-1])
-    d0 /= l0
-    d1 = np.subtract(v[:-1, 1:], v[:-1, :-1])
-    d1 /= l1
-    return d0, d1
+    """(d_0 v, d_1 v), the forward differences of `_diff`."""
+    return _diff(v, start, 0, l0), _diff(v, start, 1, l1)
 
 
 def _curl(w0, w1, start, l0, l1):
-    """Coefficient of dt dx in dw, on the window of w less its last row and
-    column."""
-    _check_overlap(start, w1.shape, (-1, 0), (0, 0))
-    _check_overlap(start, w0.shape, (0, -1), (0, 0))
-    c = np.subtract(w1[1:, :-1], w1[:-1, :-1])
-    c /= l0
-    t = np.subtract(w0[:-1, 1:], w0[:-1, :-1])
-    t /= l1
-    return np.subtract(c, t, out=c)
+    """Coefficient of dt dx in dw, d_0 w1 - d_1 w0 from `_diff`, on the
+    window of w less its last row and column."""
+    c = _diff(w1, start, 0, l0)
+    return np.subtract(c, _diff(w0, start, 1, l1), out=c)
 
 
 def _d_star(J0, J1, start, l0, l1, h):

@@ -541,9 +541,9 @@ def test_build_logs_each_degree_at_debug(caplog):
         ReducedCalculus(Digraph.from_arrows(4, FIG1_ARROWS))
     lines = [rec.getMessage() for rec in caplog.records]
     assert [line.split(", elimination ")[0] for line in lines] == [
-        "degree 1: 4 paths, 0 relations, 0 endpoint blocks",
-        "degree 2: 2 paths, 1 relations, 1 endpoint blocks",
-        "degree 3: 0 paths, 0 relations, 0 endpoint blocks",
+        "degree 1: 4 paths, 0 relations",
+        "degree 2: 2 paths, 1 relations",
+        "degree 3: 0 paths, 0 relations",
     ]
     assert all(line.endswith(" s") for line in lines)
 
@@ -562,7 +562,7 @@ def test_build_and_its_counts_reduce_nothing():
         0, 0, 28, 136, 472, 1448, 4248,
     ]
     assert [len(fresh) for fresh in calc._fresh] == [0, 0, 28, 60, 92, 124, 156]
-    assert calc._tables == [{}] and calc._forms == {}  # no relation row listed
+    assert calc._forms == {}  # no relation row listed
     assert calc._memo == {}  # and no normal form taken
 
 

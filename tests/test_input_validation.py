@@ -28,7 +28,13 @@ from ncgeom.finite_calculus import (
     multiply,
     reduce,
 )
-from ncgeom.lattice import LatticeField, LatticeOneForm, LatticeSpec, StructureTensor
+from ncgeom.lattice import (
+    LatticeField,
+    LatticeOneForm,
+    LatticeSpec,
+    StructureTensor,
+    exterior_derivative,
+)
 from ncgeom.matrix_rep import (
     AdjacencyMatrix,
     base_matrix,
@@ -178,8 +184,28 @@ def test_bad_inputs_raise_validation_error(name):
 
 
 # Finite inputs whose arithmetic overflows.
+HUGE = LatticeField(LINE.with_window(((0, 2),)), np.array([1e308, -1e308]))
+HUGE_EXACT = FormExpr({(0, 1): 10**400})
 OVERFLOWING = {
     "1e-320 source": lambda: current_ladder(LatticeField.constant(PLANE, 1e-320)),
+    "float scalar times form": lambda: 1e200 * FormExpr({(0, 1): 1e200}),
+    "sum of forms": lambda: FormExpr({(0, 1): 1e308}) + FormExpr({(0, 1): 1e308}),
+    "product of forms": lambda: build_universal(2).multiply(
+        FormExpr({(0,): 1e200}), FormExpr({(0, 1): 1e200})
+    ),
+    "differential of a form": lambda: build_universal(2).differential(
+        FormExpr({(0,): 1e308, (1,): -1e308})
+    ),
+    "complex scalar times form": lambda: (1e200 + 0j) * FormExpr({(0, 1): 1e200 + 1e200j}),
+    "float scalar times huge int": lambda: 1.5 * HUGE_EXACT,
+    "huge int plus float": lambda: HUGE_EXACT + FormExpr({(0, 1): 1.5}),
+    "huge int times float": lambda: build_universal(2).multiply(
+        FormExpr({(0,): 1.5}), HUGE_EXACT
+    ),
+    "lattice derivative": lambda: exterior_derivative(HUGE),
+    "lattice field squared": lambda: HUGE * HUGE,
+    "lattice inverse": lambda: LatticeField(LINE, np.full(4, 1e-320)).inverse(),
+    "commutator": lambda: commutator_norm([[0, 1e300], [1e300, 0]], [0.0, 1e10]),
 }
 
 
@@ -246,6 +272,9 @@ UNREACHED = {
     "dict operand": lambda: ARROW_CALCULUS.differential({(0, 1): 1}),
     "list of terms": lambda: FormExpr([((0, 1), 1)]),
     "arrow not a pair in reduce": lambda: reduce(build_universal(3), [5]),
+    "FiniteSet of an int": lambda: FiniteSet(5),
+    "unhashable labels": lambda: FiniteSet([[1], [2]]),
+    "Digraph on an int": lambda: Digraph(5, []),
 }
 
 
