@@ -37,7 +37,10 @@ def real_number(value, what: str) -> float:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a real number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction past float range
+        raise ValidationError(f"{what} must be a real number within float range") from None
 
 
 def positive_real(value, what: str) -> float:

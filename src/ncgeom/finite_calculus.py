@@ -18,9 +18,11 @@ rewriting with a noncommutative Groebner basis (Mora, Theoret. Comput.
 Sci. 134, 1994); normal forms and reads of the relations share one memo of
 these rows per calculus.  A degree's relation rows, one per admissible path
 that is not a normal word, are listed when first read, and its admissible
-paths likewise.  Relations are eliminated exactly, over ints that become
-`Fraction` only at a pivot other than +1 or -1, so dimensions and normal
-forms carry no floating point error.
+paths likewise.  Once the two-sided rules are certified complete, the build
+counts the degrees above with Ufnarovski's automaton and eliminates them
+only when first needed.  Relations are eliminated exactly, over ints that
+become `Fraction` only at a pivot other than +1 or -1, so dimensions and
+normal forms carry no floating point error.
 
 Vertices are 0-based integers throughout; labels are I/O metadata.
 Coefficients may be int, Fraction, float or complex; operations stay exact
@@ -41,6 +43,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NumericError, ValidationError, finite_number, integer
 
@@ -131,18 +136,28 @@ def _check_path(path) -> Path:
     return path
 
 
+# the coefficient types that can overflow to inf: float, complex and numpy's
+# inexact scalars; ints and Fractions are exact.  Looking the type up in a set
+# costs an exact coefficient no more than the type tests it replaced.
+_INEXACT = frozenset(
+    {float, complex} | {t for t in np.sctypeDict.values() if issubclass(t, np.inexact)}
+)
+
+
 def _finite_terms(fn):
-    """Make `fn` raise NumericError where a float or complex coefficient of
-    its FormExpr is not finite; exact coefficients are told apart by type."""
+    """Make `fn` raise NumericError where an inexact coefficient of its
+    FormExpr is not finite, or where its arithmetic overflows."""
 
     @functools.wraps(fn)
     def checked(*args):
         try:
             out = fn(*args)
-        except OverflowError as exc:  # an exact coefficient too large for a float
+        # an exact coefficient too large for a float, or a numpy scalar's
+        # overflow where numpy raises it or warnings are errors
+        except (OverflowError, FloatingPointError, RuntimeWarning) as exc:
             raise NumericError(f"non-finite coefficient in {fn.__name__}: {exc}") from None
         for c in () if out is NotImplemented else out.terms.values():
-            if (type(c) is float or type(c) is complex) and not cmath.isfinite(c):
+            if type(c) in _INEXACT and not cmath.isfinite(c):
                 raise NumericError(f"non-finite coefficient {c!r} in {fn.__name__}")
         return out
 
@@ -279,6 +294,16 @@ def _rref(rows: list[dict]) -> dict:
     return pivots
 
 
+def _pushed(counts: list[int], out: list[list[int]]) -> list[int]:
+    """Counts per vertex of a digraph, given by its out-neighbour lists
+    `out`, carried one arrow further."""
+    pushed = [0] * len(counts)
+    for count, targets in zip(counts, out):
+        for j in targets:
+            pushed[j] += count
+    return pushed
+
+
 class _Relations(Sequence):
     """View of one degree's relation rows as forms, in lead order: its length
     is the build's count of paths less normal words, the rows listed on read."""
@@ -296,19 +321,35 @@ class _Relations(Sequence):
         return self._calc._relations(self._degree)[index]
 
 
+class Certificate(NamedTuple):
+    """Whether a calculus's two-sided rewriting rules are known complete, and
+    the top degree of the leads found (0 when there are none)."""
+
+    complete: bool
+    lead_degree: int
+
+
 class ReducedCalculus:
     """A digraph calculus: admissible path bases and quotient relations.
 
     The build goes degree by degree and stops at the first degree whose
     quotient dimension vanishes (`max_degree`) or at `degree_cap`, whichever
     comes first.  Past the cap the calculus reports itself truncated rather
-    than guessing.  Each degree keeps its fresh rows (`_fresh_rows`), the
+    than guessing.  Each degree keeps its fresh rows (`_fresh_of`), the
     reduced generators whose leads are not pivots of the degree below, and
     two counts: admissible paths, and normal words, which are the degree r-1
     normal words extended by every arrow less the fresh leads.  The
     dimension is the second count.  Nothing else is listed at build time:
     the normal words of degree r - 2 only when the fresh rows of degree r
     need them.
+
+    Every pivot contains a two-sided lead, one whose subwords one arrow
+    shorter are not pivots: these are the rules.  A fresh lead L is one
+    exactly when L[1:] is not a fresh lead, since L[1:-1] is a subword of
+    the normal word L[:-1] and so normal.  Once degrees m+1 .. 2m-1 add none,
+    m being the top degree of the rules, they are complete (`certificate`),
+    and the degrees above are counted by `_automaton` and eliminated
+    (`_fresh_of`) only on first need.
 
     A normal form reduces each pivot through its relation row, which
     `_row` alone extends from the pivot's fresh prefix and keeps in a memo.
@@ -341,6 +382,9 @@ class ReducedCalculus:
                 for j in self._out[k]:
                     if j != i:
                         self._mids.setdefault((i, j), []).append(k)
+        # two-arrow detours i -> k -> j around each deleted arrow (i, j)
+        self._detours = [(i, j, ks) for (i, j), ks in sorted(self._mids.items())
+                         if (i, j) not in self._arrows]
         self._path_counts: list[int] = [n]
         self._word_counts: list[int] = [n]
         self._bases: list[list[Path]] = [[(i,) for i in range(n)]]
@@ -348,43 +392,87 @@ class ReducedCalculus:
         self._fresh: list[dict[Path, dict]] = [{}]
         self._memo: dict[Path, dict] = {}  # every extended row made so far
         self._forms: dict[int, list[FormExpr]] = {}
+        self._admitted: set[Path] = set()  # operand paths checked so far
         self.max_degree: int | None = None
         self.truncated = False
-        self._build()
+        self._certificate = self._build()
+
+    @property
+    def certificate(self) -> Certificate:
+        return self._certificate
 
     # -- construction -------------------------------------------------
 
-    def _build(self):
+    def _build(self) -> Certificate:
         n = self.graph.n
-        # two-arrow detours i -> k -> j around each deleted arrow (i, j)
-        detours = [(i, j, ks) for (i, j), ks in sorted(self._mids.items())
-                   if (i, j) not in self._arrows]
+        # the top degree of the two-sided leads so far: 2, that of the
+        # generators, or 0 when nothing is deleted
+        top = 2 if self._detours else 0
+        complete = not top  # no rules are complete rules
         ends = [1] * n  # admissible paths of the current degree, per end vertex
-        words = [1] * n  # and its normal words
+        words = [1] * n  # and its normal words, per end vertex until counted
+        automaton = None
         for r in range(1, self.degree_cap + 1):
-            pushed, pushed_words = [0] * n, [0] * n
-            for count, word_count, targets in zip(ends, words, self._out):
-                for j in targets:
-                    pushed[j] += count
-                    pushed_words[j] += word_count
-            ends, words = pushed, pushed_words
-            start = time.perf_counter()
-            fresh = self._fresh_rows(r, detours)
-            elapsed = time.perf_counter() - start
-            self._fresh.append(fresh)
-            for lead in fresh:
-                words[lead[-1]] -= 1
+            if automaton is None:  # eliminate; one pass pushes both counts
+                pushed, pushed_words = [0] * n, [0] * n
+                for count, word_count, targets in zip(ends, words, self._out):
+                    for j in targets:
+                        pushed[j] += count
+                        pushed_words[j] += word_count
+                ends, words = pushed, pushed_words
+                start = time.perf_counter()
+                fresh = self._fresh_rows(r)
+                elapsed = time.perf_counter() - start
+                self._fresh.append(fresh)
+                for lead in fresh:
+                    words[lead[-1]] -= 1
+                if fresh and r > top:
+                    below = self._fresh[r - 1]
+                    if any(lead[1:] not in below for lead in fresh):
+                        top = r
+            else:  # count the normal words per automaton state
+                ends = _pushed(ends, self._out)
+                words = _pushed(words, automaton)
             paths, dim = sum(ends), sum(words)
             self._path_counts.append(paths)
             self._word_counts.append(dim)
-            logger.debug(
-                "degree %d: %d paths, %d relations, elimination %.6f s",
-                r, paths, paths - dim, elapsed,
-            )
+            if automaton is None:
+                logger.debug(
+                    "degree %d: %d paths, %d relations, elimination %.6f s",
+                    r, paths, paths - dim, elapsed,
+                )
+            else:
+                logger.debug("degree %d: %d paths, %d relations, counted",
+                             r, paths, paths - dim)
             if not dim:
                 self.max_degree = r
-                return
+                return Certificate(True, top)
+            if not complete and r >= 2 * top - 1:
+                complete = True
+                if r < self.degree_cap:
+                    automaton, words = self._automaton(top, r)
         self.truncated = True
+        return Certificate(complete, top)
+
+    def _automaton(self, m: int, r: int) -> tuple[list[list[int]], list[int]]:
+        """Ufnarovski's automaton (Math. Notes 31, 1982) for complete rules
+        of degree at most m, and its counts of normal words at degree r.
+
+        The rules are complete because every overlap of two leads has degree
+        at most 2m - 1 <= r and was resolved by the build (Bergman's diamond
+        lemma, Adv. Math. 29, 1978).  So a path of degree m or more is normal
+        exactly when each of its degree-m windows is: the states are the
+        normal words of degree m - 1, and an arrow v leads from w to the
+        last m vertices of w + (v,) when that is a normal word.
+        """
+        states = {w: k for k, w in enumerate(self._normal(m - 1))}
+        window = self._normal(m)
+        steps = [[states[q[1:]] for v in self._out[w[-1]] if (q := w + (v,)) in window]
+                 for w in states]
+        counts = [1] * len(steps)
+        for _ in range(m, r + 1):
+            counts = _pushed(counts, steps)
+        return steps, counts
 
     def _basis(self, r: int) -> list[Path]:
         """The degree-r admissible paths in lexicographic order, enumerated
@@ -402,7 +490,7 @@ class ReducedCalculus:
         listed so far, and kept; `_build` counts them the same way."""
         words = self._normal_words
         while len(words) <= r:
-            fresh = self._fresh[len(words)]
+            fresh = self._fresh_of(len(words))
             words.append(dict.fromkeys([
                 q for w in words[-1] for v in self._out[w[-1]]
                 if (q := w + (v,)) not in fresh
@@ -414,7 +502,15 @@ class ReducedCalculus:
         """The admissible paths of every built degree, enumerated on first read."""
         return [self._basis(r) for r in range(len(self._path_counts))]
 
-    def _fresh_rows(self, r: int, detours: list) -> dict:
+    def _fresh_of(self, r: int) -> dict[Path, dict]:
+        """The degree-r fresh rows, eliminated on first need: a certified
+        build leaves those above its last built degree to this."""
+        fresh = self._fresh
+        while len(fresh) <= r:
+            fresh.append(self._fresh_rows(len(fresh)))
+        return fresh[r]
+
+    def _fresh_rows(self, r: int) -> dict:
         """The reduced degree-r generators whose leads are not extended pivots.
 
         The ideal is generated by d(e_ij) for the deleted arrows (i, j).  A
@@ -442,12 +538,12 @@ class ReducedCalculus:
         into the fresh rows, which `_row` then clears from the extended rows.
         """
         rows: list[dict] = []
-        if r >= 2 and detours:
+        if r >= 2 and self._detours:
             ends: dict[int, list[Path]] = {}
             for P in self._normal(r - 2):
                 ends.setdefault(P[-1], []).append(P)
             below = self._fresh[r - 1]
-            for i, j, mids in detours:
+            for i, j, mids in self._detours:
                 for P in ends.get(i, ()):
                     row = {P + (k, j): 1 for k in mids}
                     for k in mids:
@@ -475,7 +571,7 @@ class ReducedCalculus:
         """
         row = self._memo.get(lead)
         if row is None:
-            fresh = self._fresh[len(lead) - 1]
+            fresh = self._fresh_of(len(lead) - 1)
             row = fresh.get(lead)
             if row is None:
                 row = {p + lead[-1:]: c for p, c in self._row(lead[:-1]).items()}
@@ -547,13 +643,17 @@ class ReducedCalculus:
         return FormExpr({(i,): 1 for i in range(self.graph.n)})
 
     def _require_valid(self, expr: FormExpr):
+        """Check each operand path once per calculus: admissible, and of a
+        degree that is built or past `max_degree`."""
         if not isinstance(expr, FormExpr):
             raise ValidationError(f"operand {expr!r} is not a FormExpr")
+        admitted = self._admitted
         for p in expr.terms:
-            if not self.is_admissible_path(p):
-                raise ValidationError(f"path {p} is not admissible in this calculus")
-        for r in {len(p) - 1 for p in expr.terms}:
-            self._built(r)
+            if p not in admitted:
+                if not self.is_admissible_path(p):
+                    raise ValidationError(f"path {p} is not admissible in this calculus")
+                self._built(len(p) - 1)
+                admitted.add(p)
 
     # -- algebra ------------------------------------------------------
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ncgeom.finite_calculus as finite_calculus
@@ -322,6 +322,30 @@ def test_validity_enforced():
         calc.multiply(FormExpr.from_path((1, 0)), FormExpr.from_path((0, 1)))
 
 
+def test_operand_paths_are_checked_once_per_calculus(monkeypatch):
+    checked = []
+    admissible = ReducedCalculus.is_admissible_path
+    monkeypatch.setattr(ReducedCalculus, "is_admissible_path",
+                        lambda calc, path: checked.append(path) or admissible(calc, path))
+    calc = fig1_calculus()
+    e01, e12 = FormExpr.from_path((0, 1)), FormExpr.from_path((1, 2))
+    for _ in range(3):
+        calc.multiply(e01, e12)
+        calc.differential(e01)
+    assert checked == [(0, 1), (1, 2)]
+    # a path admitted by one calculus is still foreign to another
+    other = calculus_for(Digraph.from_arrows(4, [(1, 2)]))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not admissible"):
+            other.differential(e01)
+    # and a path past the cap of a truncated calculus is never admitted
+    truncated = build_universal(3, degree_cap=2)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="beyond cap"):
+            truncated.multiply(FormExpr.from_path((0, 1, 0, 1)), truncated.unit())
+    assert (0, 1, 0, 1) not in truncated._admitted
+
+
 def test_module_level_wrappers():
     calc = fig1_calculus()
     a = FormExpr.from_path((0, 1))
@@ -561,9 +585,12 @@ def test_build_and_its_counts_reduce_nothing():
     assert [len(rels) for rels in calc.relations_by_degree] == [
         0, 0, 28, 136, 472, 1448, 4248,
     ]
-    assert [len(fresh) for fresh in calc._fresh] == [0, 0, 28, 60, 92, 124, 156]
+    # the rules are complete at degree 5, so degree 6 is counted, not eliminated
+    assert [len(fresh) for fresh in calc._fresh] == [0, 0, 28, 60, 92, 124]
     assert calc._forms == {}  # no relation row listed
     assert calc._memo == {}  # and no normal form taken
+    calc.relations(6)
+    assert [len(fresh) for fresh in calc._fresh] == [0, 0, 28, 60, 92, 124, 156]
 
 
 @settings(max_examples=40, deadline=None)
@@ -939,3 +966,74 @@ def test_subtract_stores_no_underflowed_new_column():
     row = {(0, 1): 1.0}
     _subtract(row, 1e-200, {(0, 2): 1.0, (0, 3): 1e-200, (0, 4): 2.0}, (0, 2))
     assert list(row.items()) == [((0, 1), 1.0), ((0, 4), -2e-200)]
+
+
+# -- complete rewriting rules, degrees above them counted ----------------------
+
+
+def two_sided_leads(calc, r):
+    """The degree-r fresh leads whose last r vertices form a normal word."""
+    normal = calc._normal(r - 1)
+    return [lead for lead in calc._fresh_of(r) if lead[1:] in normal]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.sets(st.sampled_from(sorted(complete_arrows(n))))
+    )
+))
+def test_complete_rules_count_the_degrees_above(graph):
+    n, arrows = graph
+    paths = walk_counts(n, arrows, 7)
+    # the dense reference enumerates every generator; keep it to seconds
+    assume(paths[7] <= 2000)
+    calc = ReducedCalculus(Digraph.from_arrows(n, arrows), degree_cap=7)
+    complete, top = calc.certificate
+    assert complete or calc.truncated
+    if not complete:
+        return
+    eliminated = len(calc._fresh)  # the degrees above were counted
+    dims = calc.dimensions()
+    dense = [dense_rref(all_relation_rows(calc, r)) for r in range(len(dims))]
+    for r in range(eliminated, len(dims)):
+        assert dims[r] == paths[r] - len(dense[r])
+        assert len(calc.relations_by_degree[r]) == len(dense[r])
+    leads = {r: two_sided_leads(calc, r) for r in range(2, min(2 * top, len(dims)))}
+    assert all(not leads[r] for r in leads if r > top)
+    every_lead = {lead for found in leads.values() for lead in found}
+    for lead in every_lead:
+        r = len(lead) - 1
+        assert lead in dense[r]
+        assert lead[1:] not in dense[r - 1] and lead[:-1] not in dense[r - 1]
+        subwords = {lead[i:j] for i in range(r + 1) for j in range(i + 1, r + 2)}
+        assert not (subwords - {lead}) & every_lead
+
+
+def test_a_new_lead_in_every_degree_stays_uncertified():
+    # one of 300 random 3-6 point digraphs with no finite rule set in sight
+    arrows = [(0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1), (3, 4),
+              (3, 5), (4, 3), (4, 5), (5, 0), (5, 2), (5, 3)]
+    calc = ReducedCalculus(Digraph.from_arrows(6, arrows), degree_cap=7)
+    assert calc.certificate == (False, 7)
+    assert calc.truncated
+    assert len(calc._fresh) == 8  # every degree eliminated at build time
+    assert [len(two_sided_leads(calc, r)) for r in range(2, 8)] == [7, 3, 1, 1, 1, 1]
+
+
+def test_grid_rules_complete_at_degree_five():
+    calc = ReducedCalculus(Digraph.from_arrows(9, bigrid_arrows(3, 3)), degree_cap=9)
+    assert calc.certificate == (True, 3)
+    assert [len(two_sided_leads(calc, r)) for r in range(2, 6)] == [28, 8, 0, 0]
+    # 16 r + 8 normal words from degree 1 on
+    assert calc.dimensions() == [9] + [16 * r + 8 for r in range(1, 10)]
+    assert calc.truncated
+
+
+def test_counted_degrees_are_logged_at_debug(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ncgeom"):
+        calc = ReducedCalculus(Digraph.from_arrows(4, bigrid_arrows(2, 2)), degree_cap=6)
+    lines = [rec.getMessage() for rec in caplog.records]
+    assert calc.certificate == (True, 3)
+    assert all(" elimination " in line for line in lines[:5])
+    assert lines[5:] == ["degree 6: 256 paths, 228 relations, counted"]

@@ -3,6 +3,7 @@ NumericError, and no bare Python or numpy error escapes (pyproject.toml turns
 numpy's RuntimeWarnings, ComplexWarning among them, into errors)."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from ncgeom.finite_calculus import (
     multiply,
     reduce,
 )
+from ncgeom.io import load_digraph
 from ncgeom.lattice import (
     LatticeField,
     LatticeOneForm,
@@ -174,6 +176,7 @@ REJECTED = {
     "huge step count": lambda: toda_run_discrete(STATE, 2**62),
     "short t_final": lambda: discrete_continuum_orders(BUMP, np.zeros(4), t_final=0.01),
     "string t_final": lambda: discrete_continuum_orders(BUMP, np.zeros(4), t_final="1"),
+    "huge int spacing": lambda: LatticeSpec((10**400,), ((0, 3),)),
 }
 
 
@@ -206,6 +209,12 @@ OVERFLOWING = {
     "lattice field squared": lambda: HUGE * HUGE,
     "lattice inverse": lambda: LatticeField(LINE, np.full(4, 1e-320)).inverse(),
     "commutator": lambda: commutator_norm([[0, 1e300], [1e300, 0]], [0.0, 1e10]),
+    "float scalar times numpy float": lambda: 1e200 * FormExpr({(0, 1): np.float64(1e200)}),
+    "numpy float32 product": lambda: build_universal(2).multiply(
+        FormExpr({(0,): np.float32(1e20)}), FormExpr({(0, 1): np.float32(1e20)})
+    ),
+    "numpy complex sum": lambda: FormExpr({(0, 1): np.complex128(1e308)})
+    + FormExpr({(0, 1): np.complex128(1e308)}),
 }
 
 
@@ -213,6 +222,29 @@ OVERFLOWING = {
 def test_overflowing_inputs_raise_numeric_error(name):
     with pytest.raises(NumericError, match="non-finite"):
         OVERFLOWING[name]()
+
+
+def test_numpy_scalar_overflow_raises_numeric_error():
+    # once stored np.float64(inf) after numpy's overflow warning
+    form = FormExpr({(0, 1): np.float64(1e200)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite"):
+            1e200 * form
+    # where warnings are only shown, numpy warns and the result is refused
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericError, match="non-finite"):
+            1e200 * form
+
+
+def test_huge_int_length_in_a_graph_file_raises_validation_error(tmp_path):
+    # a 401-digit length once escaped as a bare OverflowError
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"points": [0, 1], "arrows": [[0, 1]], "lengths": [[0, 1, ' + "1" * 401 + "]]}"
+    )
+    with pytest.raises(ValidationError, match="within float range"):
+        load_digraph(path)
 
 
 @pytest.mark.parametrize(
