@@ -203,7 +203,10 @@ class FormExpr:
         return None
 
     def coefficient(self, path: Sequence[int]):
-        return self.terms.get(tuple(path), 0)
+        try:
+            return self.terms.get(tuple(path), 0)
+        except TypeError:  # not a sequence of hashable vertices
+            raise ValidationError(f"path {path!r} must be a sequence of vertices") from None
 
     def __bool__(self):
         return bool(self.terms)
@@ -349,7 +352,8 @@ class ReducedCalculus:
     the normal word L[:-1] and so normal.  Once degrees m+1 .. 2m-1 add none,
     m being the top degree of the rules, they are complete (`certificate`),
     and the degrees above are counted by `_automaton` and eliminated
-    (`_fresh_of`) only on first need.
+    (`_fresh_of`) only on first need.  With no rules the automaton is the
+    digraph itself, so such a build eliminates no degree.
 
     A normal form reduces each pivot through its relation row, which
     `_row` alone extends from the pivot's fresh prefix and keeps in a memo.
@@ -408,35 +412,30 @@ class ReducedCalculus:
         # the top degree of the two-sided leads so far: 2, that of the
         # generators, or 0 when nothing is deleted
         top = 2 if self._detours else 0
-        complete = not top  # no rules are complete rules
+        # None while the build eliminates, then the out-lists of the
+        # automaton; with no rules that is the digraph itself
+        steps = None if top else self._out
         ends = [1] * n  # admissible paths of the current degree, per end vertex
-        words = [1] * n  # and its normal words, per end vertex until counted
-        automaton = None
+        words = [1] * n  # and its normal words, per end vertex or automaton state
         for r in range(1, self.degree_cap + 1):
-            if automaton is None:  # eliminate; one pass pushes both counts
-                pushed, pushed_words = [0] * n, [0] * n
-                for count, word_count, targets in zip(ends, words, self._out):
-                    for j in targets:
-                        pushed[j] += count
-                        pushed_words[j] += word_count
-                ends, words = pushed, pushed_words
+            if steps is None and r > 2 * top - 1:
+                steps, words = self._automaton(top, r - 1)
+            ends = _pushed(ends, self._out)
+            words = _pushed(words, self._out if steps is None else steps)
+            if steps is None:
                 start = time.perf_counter()
-                fresh = self._fresh_rows(r)
+                fresh = self._fresh_of(r)
                 elapsed = time.perf_counter() - start
-                self._fresh.append(fresh)
                 for lead in fresh:
                     words[lead[-1]] -= 1
                 if fresh and r > top:
                     below = self._fresh[r - 1]
                     if any(lead[1:] not in below for lead in fresh):
                         top = r
-            else:  # count the normal words per automaton state
-                ends = _pushed(ends, self._out)
-                words = _pushed(words, automaton)
             paths, dim = sum(ends), sum(words)
             self._path_counts.append(paths)
             self._word_counts.append(dim)
-            if automaton is None:
+            if steps is None:
                 logger.debug(
                     "degree %d: %d paths, %d relations, elimination %.6f s",
                     r, paths, paths - dim, elapsed,
@@ -446,13 +445,9 @@ class ReducedCalculus:
                              r, paths, paths - dim)
             if not dim:
                 self.max_degree = r
-                return Certificate(True, top)
-            if not complete and r >= 2 * top - 1:
-                complete = True
-                if r < self.degree_cap:
-                    automaton, words = self._automaton(top, r)
-        self.truncated = True
-        return Certificate(complete, top)
+                break
+        self.truncated = self.max_degree is None
+        return Certificate(self.max_degree is not None or self.degree_cap >= 2 * top - 1, top)
 
     def _automaton(self, m: int, r: int) -> tuple[list[list[int]], list[int]]:
         """Ufnarovski's automaton (Math. Notes 31, 1982) for complete rules
@@ -503,8 +498,8 @@ class ReducedCalculus:
         return [self._basis(r) for r in range(len(self._path_counts))]
 
     def _fresh_of(self, r: int) -> dict[Path, dict]:
-        """The degree-r fresh rows, eliminated on first need: a certified
-        build leaves those above its last built degree to this."""
+        """The degree-r fresh rows, eliminated on first need: the build's
+        eliminating degrees and, once the rules are complete, any above."""
         fresh = self._fresh
         while len(fresh) <= r:
             fresh.append(self._fresh_rows(len(fresh)))
@@ -722,10 +717,12 @@ class ReducedCalculus:
     def function_differential(self, values: Sequence) -> FormExpr:
         """df as a 1-form: sum over arrows of [f(j) - f(i)] e_ij, for finite
         real or complex values; ints and Fractions give exact coefficients."""
-        if len(values) != self.graph.n:
-            raise ValidationError(
-                f"need one value per point, got {len(values)} for {self.graph.n}"
-            )
+        try:
+            count = len(values)
+        except TypeError:
+            raise ValidationError("function values must be a sequence, one per point") from None
+        if count != self.graph.n:
+            raise ValidationError(f"need one value per point, got {count} for {self.graph.n}")
         values = [finite_number(v, "function value") for v in values]
         return FormExpr({(i, j): values[j] - values[i] for (i, j) in sorted(self._arrows)})
 
@@ -741,6 +738,8 @@ def reduce(
 ) -> ReducedCalculus:
     """Quotient calculus keeping only the given arrows of the complete graph,
     up to the universal calculus's degree cap."""
+    if not isinstance(universal, ReducedCalculus):
+        raise ValidationError("reduce needs the universal ReducedCalculus")
     return ReducedCalculus(
         Digraph(universal.graph.base, kept_arrows), degree_cap=universal.degree_cap
     )

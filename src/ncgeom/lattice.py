@@ -24,14 +24,19 @@ STRUCTURE_TOL = 1e-12
 
 
 def intersect_windows(a: Window, b: Window) -> Window:
-    if len(a) != len(b):
-        raise ValidationError("window dimensions differ")
-    out = []
-    for (lo1, hi1), (lo2, hi2) in zip(a, b):
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo >= hi:
-            raise ValidationError(f"windows {a} and {b} have empty intersection")
-        out.append((lo, hi))
+    try:
+        if len(a) != len(b):
+            raise ValidationError("window dimensions differ")
+        out = []
+        for (lo1, hi1), (lo2, hi2) in zip(a, b):
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if lo >= hi:
+                raise ValidationError(f"windows {a} and {b} have empty intersection")
+            out.append((lo, hi))
+    except ValidationError:
+        raise
+    except (TypeError, ValueError):  # not sequences of bound pairs
+        raise ValidationError(f"{a!r} and {b!r} are not windows") from None
     return tuple(out)
 
 
@@ -74,6 +79,11 @@ class LatticeSpec:
     def shape(self) -> tuple:
         return tuple(hi - lo for lo, hi in self.window)
 
+    @property
+    def start(self) -> tuple:
+        """The lattice index of the window's first site."""
+        return tuple(lo for lo, _ in self.window)
+
     def with_window(self, window: Window) -> "LatticeSpec":
         return LatticeSpec(self.spacings, window)
 
@@ -84,7 +94,15 @@ class LatticeField:
     __slots__ = ("spec", "values")
 
     def __init__(self, spec: LatticeSpec, values):
-        values = np.asarray(values)
+        if not isinstance(spec, LatticeSpec):
+            raise ValidationError("a field needs a LatticeSpec")
+        try:
+            values = np.asarray(values)
+        except ValueError as exc:  # ragged nesting
+            raise ValidationError(f"field values must be an array: {exc}") from None
+        # ints, floats and complex; values need not be finite
+        if values.dtype.kind not in "iufc":
+            raise ValidationError(f"field values must be numbers, not {values.dtype}")
         if values.shape[: spec.n] != spec.shape:
             raise ValidationError(
                 f"values shape {values.shape} does not cover window {spec.window}"
@@ -143,7 +161,7 @@ class LatticeField:
 
     def _values_on(self, window: Window) -> np.ndarray:
         """View of the values on a window inside this field's window."""
-        return values_on(self.values, [lo for lo, _ in self.spec.window], window)
+        return values_on(self.values, self.spec.start, window)
 
     def restricted(self, window: Window) -> "LatticeField":
         window = intersect_windows(self.spec.window, window)
@@ -237,6 +255,8 @@ class LatticeOneForm:
         comps = tuple(self.components)
         if not comps:
             raise ValidationError("one-form needs at least one component")
+        if not all(isinstance(c, LatticeField) for c in comps):
+            raise ValidationError("one-form components must be LatticeFields")
         n = comps[0].spec.n
         if len(comps) != n:
             raise ValidationError("component count must equal the lattice dimension")

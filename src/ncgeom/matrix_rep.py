@@ -8,6 +8,7 @@ Weights are stored directly in the matrix entries (1/length per arrow).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ class AdjacencyMatrix:
     @classmethod
     def from_digraph(cls, graph: Digraph, lengths: dict | None = None):
         """Weighted matrix with entries 1/length; unweighted arrows get 1."""
+        if not isinstance(graph, Digraph):
+            raise ValidationError("an adjacency matrix needs a Digraph")
+        if lengths is not None and not isinstance(lengths, Mapping):
+            raise ValidationError("lengths must map arrows to lengths")
         stray = set(lengths or ()) - graph.arrows
         if stray:
             raise ValidationError(f"lengths given for non-arrows {sorted(stray)}")
@@ -63,7 +68,11 @@ class DoubledOperator:
             raise ValidationError("doubled block must have zero diagonal blocks")
         if not np.array_equal(b[:n, n:], b[n:, :n].conj().T):
             raise ValidationError("doubled block must be [[0, D^dag], [D, 0]]")
+        g = np.asarray(self.grading)
+        if g.dtype.kind not in "iufc" or g.shape != b.shape:
+            raise ValidationError(f"grading must be a numeric {b.shape[0]} x {b.shape[0]} matrix")
         object.__setattr__(self, "block", b)
+        object.__setattr__(self, "grading", g)
 
     @property
     def n_points(self) -> int:
@@ -132,6 +141,8 @@ def _commutator(d: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def double(matrix) -> DoubledOperator:
     d = base_matrix(matrix)
+    if d.dtype.kind not in "iufc":
+        raise ValidationError(f"operator entries must be numbers, not {d.dtype}")
     n = d.shape[0]
     zero = np.zeros_like(d)
     block = np.block([[zero, d.conj().T], [d, zero]])
@@ -146,6 +157,8 @@ def _maxabs(m) -> float:
 def verify_triple(op: DoubledOperator, fs=()) -> TripleReport:
     """Residuals of the even-triple identities for the doubled operator; its
     block is selfadjoint by construction (see `DoubledOperator`)."""
+    if not isinstance(op, DoubledOperator):
+        raise ValidationError("verify_triple needs a DoubledOperator")
     d_hat, g = op.block, op.grading
     g2 = _maxabs(g @ g - np.eye(g.shape[0]))
     anti = _maxabs(g @ d_hat + d_hat @ g)

@@ -20,7 +20,9 @@ and each step keeps only the window its result is defined on.  So a level
 is a few numpy expressions over that window, each step returning fresh
 arrays, and lattice objects are built only for what `ChiLadder` returns.
 `maurer_cartan`, `field_residual`, `potential`, `invert_star_d` and
-`covariant_derivative` call the same kernel.  Each kernel step does the
+`covariant_derivative` call the same kernel, and reach it only through
+`_arrays`, which turns a field or one-form on the 2-D lattice into value
+arrays, its first site and its spacings.  Each kernel step does the
 arithmetic of the LatticeField primitives (`forward_derivative`, `shift`,
 `*`, `inverse`, `star`, `d_one_form`, `one_form_product`) in the same
 order, and the tests hold the ladder to a reference built from those
@@ -79,7 +81,7 @@ MAX_RUN_VALUES = 2**27
 
 
 def two_dim_spec(l0, l1, t_range, x_range) -> LatticeSpec:
-    return LatticeSpec((l0, l1), (tuple(t_range), tuple(x_range)))
+    return LatticeSpec((l0, l1), (t_range, x_range))
 
 
 @dataclass(frozen=True)
@@ -102,15 +104,30 @@ class HodgeStar:
             object.__setattr__(self, name, c)
 
 
+def _hodge(h) -> HodgeStar:
+    if not isinstance(h, HodgeStar):
+        raise ValidationError(f"the star coefficients must be a HodgeStar, not {type(h).__name__}")
+    return h
+
+
+def _components(w) -> tuple:
+    """The (t, x) components of w; ValidationError unless it is a one-form
+    on the 2-D lattice."""
+    if not isinstance(w, LatticeOneForm) or w.spec.n != 2:
+        raise ValidationError("the sigma-model steps take one-forms on the 2-D lattice")
+    return w.components
+
+
 def star(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeOneForm:
     """Generalized Hodge star on a one-form with left-module components."""
-    w0, w1 = w.components
+    w0, w1 = _components(w)
+    h = _hodge(h)
     return LatticeOneForm(((-h.c1 * w1).shift(SPACE, -1), (h.c0 * w0).shift(TIME, -1)))
 
 
 def d_one_form(w: LatticeOneForm) -> LatticeField:
     """Coefficient of dt dx in dw."""
-    w0, w1 = w.components
+    w0, w1 = _components(w)
     return forward_derivative(w1, TIME) - forward_derivative(w0, SPACE)
 
 
@@ -120,8 +137,8 @@ def one_form_product(p: LatticeOneForm, q: LatticeOneForm) -> LatticeField:
     Moving q's coefficients past p's differentials shifts them forward, and
     dx dt = -dt dx collapses the four cross terms to two.
     """
-    p0, p1 = p.components
-    q0, q1 = q.components
+    p0, p1 = _components(p)
+    q0, q1 = _components(q)
     return p0 * q1.shift(TIME, 1) - p1 * q0.shift(SPACE, 1)
 
 
@@ -134,10 +151,6 @@ class GaugeField:
 
 
 # -- the ladder kernel: value arrays and the lattice index of their first site
-
-
-def _start(spec: LatticeSpec) -> tuple:
-    return tuple(lo for lo, _ in spec.window)
 
 
 def _window(start, shape) -> Window:
@@ -157,6 +170,19 @@ def _floats(values: np.ndarray) -> np.ndarray:
     """Integer values as floats, the type of their differences, which the
     kernel divides in place; other values as they are."""
     return values.astype(np.result_type(values, 1.0), copy=False)
+
+
+def _arrays(x):
+    """The float values of a field, or of each component of a one-form, then
+    the first site and the spacings: the one way from lattice objects into
+    the kernel.  ValidationError unless x lives on the 2-D lattice."""
+    if isinstance(x, LatticeField):
+        if x.spec.n != 2:
+            raise ValidationError("the sigma-model steps take fields on the 2-D lattice")
+        values = (x.values,)
+    else:
+        values = (c.values for c in _components(x))
+    return (*map(_floats, values), x.spec.start, x.spec.spacings)
 
 
 def _check_overlap(start, shape, move_a, move_b) -> None:
@@ -263,10 +289,8 @@ def _covariant(chi, d0, d1, A0, A1):
 def _connection(a: LatticeField):
     """(A0, A1) = a^-1 da on a's window less its last row and column, and
     the flatness residual max|dA + AA|."""
-    if a.spec.n != 2:
-        raise ValidationError("the source must be a field on the 2-D lattice")
-    v = _floats(finite_array(a.values, "the source"))
-    start, (l0, l1) = _start(a.spec), a.spec.spacings
+    finite_array(a.values, "the source")
+    v, start, (l0, l1) = _arrays(a)
     ainv = invert_values(v, a.spec.window)[:-1, :-1]
     A0, A1 = (_product(ainv, d) for d in _d(v, start, l0, l1))
     flat = _curl(A0, A1, start, l0, l1)
@@ -285,18 +309,14 @@ def maurer_cartan(a: LatticeField) -> GaugeField:
     A0, A1, flat = _connection(a)
     if not flat <= FLATNESS_TOL:
         raise NumericError(f"flatness residual {flat:.3e} exceeds {FLATNESS_TOL:.1e}")
-    return GaugeField(_one_form(a.spec, _start(a.spec), A0, A1), flat)
-
-
-def _arrays(w: LatticeOneForm):
-    w0, w1 = (_floats(c.values) for c in w.components)
-    return w0, w1, _start(w.spec), w.spec.spacings
+    return GaugeField(_one_form(a.spec, a.spec.start, A0, A1), flat)
 
 
 @overflow_is_numeric
 def field_residual(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
     """Coefficient of dt dx in d star w; zero iff the field equation holds."""
     w0, w1, (t, x), (l0, l1) = _arrays(w)
+    h = _hodge(h)
     return _field(w.spec, (t + 1, x + 1), _d_star(w0, w1, (t, x), l0, l1, h))
 
 
@@ -323,6 +343,7 @@ def invert_star_d(J: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField
     it to chi, certifying d chi against it.
     """
     J0, J1, start, (l0, l1) = _arrays(J)
+    h = _hodge(h)
     w0, w1 = _inverse_star(J0, J1, start, h)
     return _field(J.spec, start, _potential(w0, w1, start, l0, l1)[0])
 
@@ -330,12 +351,12 @@ def invert_star_d(J: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField
 @overflow_is_numeric
 def covariant_derivative(chi: LatticeField, A: LatticeOneForm) -> LatticeOneForm:
     """D chi = d chi + A chi, with chi commuted past the differentials."""
-    start, (l0, l1) = _start(chi.spec), chi.spec.spacings
-    chi_values = _floats(chi.values)
+    chi_values, start, (l0, l1) = _arrays(chi)
+    A0, A1, A_start, _ = _arrays(A)
     d0, d1 = _d(chi_values, start, l0, l1)
     win = intersect_windows(_window(start, d0.shape), A.spec.window)
     (t, t_end), (x, x_end) = win
-    A0, A1 = (values_on(_floats(c.values), _start(A.spec), win) for c in A.components)
+    A0, A1 = (values_on(v, A_start, win) for v in (A0, A1))
     chi_cut = values_on(chi_values, start, ((t, t_end + 1), (x, x_end + 1)))
     d0, d1 = (values_on(v, start, win) for v in (d0, d1))
     D0, D1 = _covariant(chi_cut, d0, d1, A0, A1)
@@ -376,9 +397,10 @@ def current_ladder(
     """
     if integer(m_max, "m_max") < 1:
         raise ValidationError("m_max must be at least 1")
+    h = _hodge(h)
     A = maurer_cartan(a).one_form
     J0, J1 = A0, A1 = A.components[0].values, A.components[1].values
-    start, (l0, l1) = _start(a.spec), a.spec.spacings
+    start, (l0, l1) = a.spec.start, a.spec.spacings
     resid = _max_abs(_d_star(A0, A1, start, l0, l1, h))
     if not resid <= FIELD_EQ_TOL:
         raise NumericError(
@@ -429,6 +451,8 @@ def _set_ghosts(qe: np.ndarray, boundary: str) -> None:
 def _padded(q, boundary: str) -> np.ndarray:
     """A chain (or a stack of chains along the last axis) with its ghosts."""
     q = finite_array(q, "q")
+    if q.ndim == 0:
+        raise ValidationError("q must be a chain of sites, not a scalar")
     qe = np.empty(q.shape[:-1] + (q.shape[-1] + 2,))
     qe[..., 1:-1] = q
     _set_ghosts(qe, boundary)
@@ -548,16 +572,6 @@ def toda_force(q, l1: float, boundary: str = "fixed") -> np.ndarray:
     return -(bonds[..., 1:] - bonds[..., :-1]) / l1**2
 
 
-@overflow_is_numeric
-def _energy(q, p, l1: float, boundary: str) -> np.ndarray:
-    """Energy of a chain, or of each row of a stack of chains."""
-    bonds = _bonds(_padded(q, boundary))
-    if boundary == "periodic":
-        bonds = bonds[..., 1:]  # both end bonds are the wrap bond; count it once
-    kin = 0.5 * np.sum(np.asarray(p) ** 2, axis=-1)
-    return kin + np.sum(bonds, axis=-1) / l1**2
-
-
 @dataclass
 class TodaTrajectory:
     times: np.ndarray
@@ -566,8 +580,14 @@ class TodaTrajectory:
     l1: float
     boundary: str
 
+    @overflow_is_numeric
     def energies(self) -> np.ndarray:
-        return _energy(self.q, self.p, self.l1, self.boundary)
+        """The energy of each row of the run."""
+        bonds = _bonds(_padded(self.q, self.boundary))
+        if self.boundary == "periodic":
+            bonds = bonds[..., 1:]  # both end bonds are the wrap bond; count it once
+        kin = 0.5 * np.sum(np.asarray(self.p) ** 2, axis=-1)
+        return kin + np.sum(bonds, axis=-1) / self.l1**2
 
     def momenta(self) -> np.ndarray:
         return self.p.sum(axis=1)

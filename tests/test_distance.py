@@ -311,6 +311,14 @@ def test_oracle_example4_inequalities():
     assert 2.0 < d14 < math.sqrt(5.0)
 
 
+def test_oracle_gives_infinity_across_components():
+    d = np.zeros((4, 4))
+    d[0, 1] = 1.0
+    d[2, 3] = 1.0
+    assert oracle_distance(DistanceProblem(d, 0, 2)) == math.inf
+    assert oracle_distance(DistanceProblem(d, 3, 1), complex_functions=True) == math.inf
+
+
 def test_oracle_size_limit():
     d = np.zeros((7, 7))
     d[0, 1] = 1.0
@@ -726,6 +734,7 @@ def weighted_digraphs(draw):
     return d
 
 
+@pytest.mark.fixed_seed
 @settings(max_examples=60, deadline=None)
 @given(weighted_digraphs())
 def test_every_connected_pair_is_certified(d):

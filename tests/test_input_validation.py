@@ -36,9 +36,11 @@ from ncgeom.lattice import (
     LatticeSpec,
     StructureTensor,
     exterior_derivative,
+    intersect_windows,
 )
 from ncgeom.matrix_rep import (
     AdjacencyMatrix,
+    DoubledOperator,
     base_matrix,
     double,
     represent_function,
@@ -49,11 +51,19 @@ from ncgeom.sigma_toda import (
     TodaState,
     current_ladder,
     discrete_continuum_orders,
+    covariant_derivative,
+    d_one_form,
     exp_field_from_slices,
+    field_residual,
+    invert_star_d,
     maurer_cartan,
+    one_form_product,
+    potential,
+    star,
     toda_force,
     toda_integrate,
     toda_run_discrete,
+    two_dim_spec,
 )
 
 BUMP = 0.3 * np.exp(-0.5 * (np.arange(4) - 1.5) ** 2)
@@ -63,6 +73,9 @@ LINE = LatticeSpec((1.0,), ((0, 4),))
 PLANE = LatticeSpec((1.0, 1.0), ((0, 8), (0, 8)))
 LINE_FIELD = LatticeField(LINE, np.exp(-BUMP))
 PLANE_FIELD = LatticeField.constant(PLANE, 1.0)
+LINE_FORM = exterior_derivative(LINE_FIELD)
+PLANE_FORM = exterior_derivative(PLANE_FIELD)
+DOUBLED = double(TWO_POINT)
 ARROW = Digraph.from_arrows(2, [(0, 1)])
 ARROW_CALCULUS = calculus_for(ARROW)
 
@@ -121,6 +134,7 @@ ENTRY_POINTS = {
 }
 
 
+@pytest.mark.fixed_seed
 @settings(max_examples=600, deadline=None)
 @given(name=st.sampled_from(sorted(ENTRY_POINTS)), value=VALUES)
 def test_bad_numbers_raise_only_ncgeom_errors(name, value):
@@ -307,6 +321,38 @@ UNREACHED = {
     "FiniteSet of an int": lambda: FiniteSet(5),
     "unhashable labels": lambda: FiniteSet([[1], [2]]),
     "Digraph on an int": lambda: Digraph(5, []),
+    # lattice and sigma-model inputs once let out as bare Python or numpy
+    # errors, or accepted
+    "string field values": lambda: LatticeField(LINE, ["a", "b", "c", "d"]),
+    "object field values": lambda: LatticeField(LINE, [None, 1, 2, 3]),
+    "ragged field values": lambda: LatticeField(LINE, [[1], [1, 2], [1], [1]]),
+    "field on an int spec": lambda: LatticeField(5, [1, 2]),
+    "one-form of ints": lambda: LatticeOneForm((1, 2)),
+    "window intersected with an int": lambda: intersect_windows(((0, 1),), 5),
+    "field restricted to an int": lambda: LINE_FIELD.restricted(5),
+    "1-D star": lambda: star(LINE_FORM),
+    "1-D d_one_form": lambda: d_one_form(LINE_FORM),
+    "1-D one_form_product": lambda: one_form_product(LINE_FORM, LINE_FORM),
+    "1-D field_residual": lambda: field_residual(LINE_FORM),
+    "1-D potential": lambda: potential(LINE_FORM),
+    "1-D invert_star_d": lambda: invert_star_d(LINE_FORM),
+    "1-D covariant_derivative": lambda: covariant_derivative(LINE_FIELD, LINE_FORM),
+    "float h in star": lambda: star(PLANE_FORM, 1.0),
+    "float h in field_residual": lambda: field_residual(PLANE_FORM, 1.0),
+    "float h in invert_star_d": lambda: invert_star_d(PLANE_FORM, 1.0),
+    "float h in current_ladder": lambda: current_ladder(PLANE_FIELD, 1.0),
+    # matrix, calculus and Toda inputs likewise
+    "string double": lambda: double(np.array([["a", "b"], ["c", "d"]])),
+    "grading of another size": lambda: DoubledOperator(DOUBLED.block, np.eye(3)),
+    "string grading": lambda: DoubledOperator(DOUBLED.block, np.full((4, 4), "a")),
+    "verify_triple of an array": lambda: verify_triple(np.eye(2)),
+    "adjacency of an int": lambda: AdjacencyMatrix.from_digraph(5),
+    "int lengths": lambda: AdjacencyMatrix.from_digraph(ARROW, lengths=5),
+    "int coefficient path": lambda: FormExpr({(0,): 1}).coefficient(5),
+    "int function values": lambda: build_universal(2).function_differential(5),
+    "reduce of an int": lambda: reduce(5, []),
+    "scalar chain force": lambda: toda_force(1.0, 1.0),
+    "int time range": lambda: two_dim_spec(0.5, 1.0, 5, (0, 3)),
 }
 
 

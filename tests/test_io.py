@@ -83,6 +83,7 @@ def test_edge_list_without_lengths(tmp_path):
     assert lengths is None
 
 
+@pytest.mark.fixed_seed
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_edge_list_round_trip(tmp_path_factory, data):
