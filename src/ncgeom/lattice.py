@@ -20,8 +20,6 @@ from .errors import ValidationError, integer, overflow_is_numeric, positive_real
 
 Window = tuple[tuple[int, int], ...]
 
-STRUCTURE_TOL = 1e-12
-
 
 def intersect_windows(a: Window, b: Window) -> Window:
     try:
@@ -38,11 +36,6 @@ def intersect_windows(a: Window, b: Window) -> Window:
     except (TypeError, ValueError):  # not sequences of bound pairs
         raise ValidationError(f"{a!r} and {b!r} are not windows") from None
     return tuple(out)
-
-
-def values_on(values: np.ndarray, start, window: Window) -> np.ndarray:
-    """View of the values, whose first site is `start`, on a window inside theirs."""
-    return values[tuple(slice(lo - s, hi - s) for (lo, hi), s in zip(window, start))]
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,8 @@ class LatticeField:
 
     def _values_on(self, window: Window) -> np.ndarray:
         """View of the values on a window inside this field's window."""
-        return values_on(self.values, self.spec.start, window)
+        start = self.spec.start
+        return self.values[tuple(slice(lo - s, hi - s) for (lo, hi), s in zip(window, start))]
 
     def restricted(self, window: Window) -> "LatticeField":
         window = intersect_windows(self.spec.window, window)
@@ -185,13 +179,16 @@ class LatticeField:
     @overflow_is_numeric
     def _binary(self, other, op, matmul: bool):
         if isinstance(other, LatticeField):
+            mine, theirs = self.values.shape[self.spec.n :], other.values.shape[other.spec.n :]
+            if mine != theirs and not (matmul and () in (mine, theirs)):
+                raise ValidationError(f"field values of shapes {mine} and {theirs} do not combine")
             win = intersect_windows(self.spec.window, other.spec.window)
             a = self._values_on(win)
             b = other._values_on(win)
             if matmul and self.is_matrix and other.is_matrix:
                 vals = a @ b
             else:
-                if matmul and self.is_matrix != other.is_matrix:
+                if self.is_matrix != other.is_matrix:
                     # scalar field times matrix field: broadcast over entries
                     if self.is_matrix:
                         b = b[..., None, None]
@@ -199,6 +196,8 @@ class LatticeField:
                         a = a[..., None, None]
                 vals = op(a, b)
             return LatticeField(self.spec.with_window(win), vals)
+        if not isinstance(other, (int, float, complex, np.number)):
+            raise ValidationError(f"a field takes fields and numbers, not {type(other).__name__}")
         return LatticeField(self.spec, op(self.values, other))
 
     def __add__(self, other):
@@ -252,7 +251,10 @@ class LatticeOneForm:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        try:
+            comps = tuple(self.components)
+        except TypeError:  # not iterable
+            raise ValidationError("one-form components must be LatticeFields") from None
         if not comps:
             raise ValidationError("one-form needs at least one component")
         if not all(isinstance(c, LatticeField) for c in comps):
@@ -271,6 +273,8 @@ class LatticeOneForm:
         return self.components[0].spec
 
     def __sub__(self, other):
+        if not isinstance(other, LatticeOneForm):
+            raise ValidationError(f"a one-form minus a {type(other).__name__}")
         return LatticeOneForm(
             tuple(a - b for a, b in zip(self.components, other.components))
         )
@@ -303,27 +307,6 @@ class StructureTensor:
 
     coefficients: np.ndarray
 
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
-            raise ValidationError("structure tensor must be n x n x n")
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.shape[0]
-
-    def matrix(self, mu: int) -> np.ndarray:
-        """(C^mu)^nu_kappa as an n x n matrix."""
-        return self.coefficients[mu]
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    symmetry_residual: float
-    commutation_residual: float
-    ok: bool
-
 
 def lattice_structure_tensor(spacings) -> StructureTensor:
     """The hypercubic-lattice tensor: C[mu, nu, kappa] = l^mu at mu=nu=kappa."""
@@ -333,21 +316,3 @@ def lattice_structure_tensor(spacings) -> StructureTensor:
     for mu in range(n):
         c[mu, mu, mu] = sp[mu]
     return StructureTensor(c)
-
-
-def check_structure_consistency(c: StructureTensor) -> StructureReport:
-    """Symmetry in the upper indices and pairwise commuting C^mu matrices."""
-    arr = c.coefficients
-    sym = float(np.max(np.abs(arr - arr.transpose(1, 0, 2)), initial=0.0))
-    comm = 0.0
-    for mu in range(c.n):
-        for nu in range(mu + 1, c.n):
-            a, b = c.matrix(mu), c.matrix(nu)
-            comm = max(comm, float(np.max(np.abs(a @ b - b @ a), initial=0.0)))
-    ok = sym <= STRUCTURE_TOL and comm <= STRUCTURE_TOL
-    return StructureReport(sym, comm, ok=ok)
-
-
-def metric_from_structure(c: StructureTensor) -> np.ndarray:
-    """g^{mu nu} = Tr(C^mu C^nu); symmetric by trace cyclicity."""
-    return np.einsum("mab,nba->mn", c.coefficients, c.coefficients)

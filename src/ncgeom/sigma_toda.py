@@ -19,15 +19,15 @@ site: every current and chi of a ladder starts at the source's first site,
 and each step keeps only the window its result is defined on.  So a level
 is a few numpy expressions over that window, each step returning fresh
 arrays, and lattice objects are built only for what `ChiLadder` returns.
-`maurer_cartan`, `field_residual`, `potential`, `invert_star_d` and
-`covariant_derivative` call the same kernel, and reach it only through
-`_arrays`, which turns a field or one-form on the 2-D lattice into value
-arrays, its first site and its spacings.  Each kernel step does the
-arithmetic of the LatticeField primitives (`forward_derivative`, `shift`,
-`*`, `inverse`, `star`, `d_one_form`, `one_form_product`) in the same
-order, and the tests hold the ladder to a reference built from those
-primitives, byte for byte; a window too small for a step raises their
-ValidationError.
+Each kernel step does the arithmetic of the LatticeField primitives
+(`forward_derivative`, `shift`, `*`, `inverse`, `star`, `d_one_form`,
+`one_form_product`) in the same order, and the tests hold the ladder to a
+reference built from those primitives, byte for byte; a window too small
+for a step raises their ValidationError.  `maurer_cartan` and `potential`
+share the ladder's kernel.  The other public steps are the formulas over
+the primitives: `field_residual` is d star w, `invert_star_d` hands the
+inverse star of J to `potential`, and `covariant_derivative` is
+d chi + A chi, each component written as d_mu chi + A_mu chi(x + l_mu).
 
 The discrete Toda flow advances the newest time slice in closed form, one
 logarithm per site, and satisfies the sigma-model field equation d star A = 0
@@ -63,7 +63,6 @@ from .lattice import (
     forward_derivative,
     intersect_windows,
     invert_values,
-    values_on,
 )
 
 TIME, SPACE = 0, 1
@@ -118,6 +117,13 @@ def _components(w) -> tuple:
     return w.components
 
 
+def _plane_field(f) -> LatticeField:
+    """f; ValidationError unless it is a field on the 2-D lattice."""
+    if not isinstance(f, LatticeField) or f.spec.n != 2:
+        raise ValidationError("the sigma-model steps take fields on the 2-D lattice")
+    return f
+
+
 def star(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeOneForm:
     """Generalized Hodge star on a one-form with left-module components."""
     w0, w1 = _components(w)
@@ -170,19 +176,6 @@ def _floats(values: np.ndarray) -> np.ndarray:
     """Integer values as floats, the type of their differences, which the
     kernel divides in place; other values as they are."""
     return values.astype(np.result_type(values, 1.0), copy=False)
-
-
-def _arrays(x):
-    """The float values of a field, or of each component of a one-form, then
-    the first site and the spacings: the one way from lattice objects into
-    the kernel.  ValidationError unless x lives on the 2-D lattice."""
-    if isinstance(x, LatticeField):
-        if x.spec.n != 2:
-            raise ValidationError("the sigma-model steps take fields on the 2-D lattice")
-        values = (x.values,)
-    else:
-        values = (c.values for c in _components(x))
-    return (*map(_floats, values), x.spec.start, x.spec.spacings)
 
 
 def _check_overlap(start, shape, move_a, move_b) -> None:
@@ -289,8 +282,8 @@ def _covariant(chi, d0, d1, A0, A1):
 def _connection(a: LatticeField):
     """(A0, A1) = a^-1 da on a's window less its last row and column, and
     the flatness residual max|dA + AA|."""
-    finite_array(a.values, "the source")
-    v, start, (l0, l1) = _arrays(a)
+    v = _floats(finite_array(_plane_field(a).values, "the source"))
+    start, (l0, l1) = a.spec.start, a.spec.spacings
     ainv = invert_values(v, a.spec.window)[:-1, :-1]
     A0, A1 = (_product(ainv, d) for d in _d(v, start, l0, l1))
     flat = _curl(A0, A1, start, l0, l1)
@@ -300,7 +293,8 @@ def _connection(a: LatticeField):
     return A0, A1, _max_abs(flat)
 
 
-# -- the public steps, each one call into the kernel
+# -- the public steps: maurer_cartan and potential call the kernel, the
+# others are the paper's formulas over the lattice primitives
 
 
 @overflow_is_numeric
@@ -312,12 +306,9 @@ def maurer_cartan(a: LatticeField) -> GaugeField:
     return GaugeField(_one_form(a.spec, a.spec.start, A0, A1), flat)
 
 
-@overflow_is_numeric
 def field_residual(w: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
     """Coefficient of dt dx in d star w; zero iff the field equation holds."""
-    w0, w1, (t, x), (l0, l1) = _arrays(w)
-    h = _hodge(h)
-    return _field(w.spec, (t + 1, x + 1), _d_star(w0, w1, (t, x), l0, l1, h))
+    return d_one_form(star(w, h))
 
 
 @overflow_is_numeric
@@ -330,11 +321,10 @@ def potential(w: LatticeOneForm) -> LatticeField:
     NumericError unless max|d(chi) - w| <= CLOSEDNESS_TOL, which also catches
     a curl too small to see pointwise that adds up along the paths.
     """
-    w0, w1, start, (l0, l1) = _arrays(w)
-    return LatticeField(w.spec, _potential(w0, w1, start, l0, l1)[0])
+    w0, w1 = (_floats(c.values) for c in _components(w))
+    return LatticeField(w.spec, _potential(w0, w1, w.spec.start, *w.spec.spacings)[0])
 
 
-@overflow_is_numeric
 def invert_star_d(J: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField:
     """Solve star d(chi) = J for a conserved current J (d star J = 0).
 
@@ -342,25 +332,18 @@ def invert_star_d(J: LatticeOneForm, h: HodgeStar = HodgeStar()) -> LatticeField
     directly; it is closed because d star J = 0, and `potential` integrates
     it to chi, certifying d chi against it.
     """
-    J0, J1, start, (l0, l1) = _arrays(J)
+    J0, J1 = _components(J)
     h = _hodge(h)
-    w0, w1 = _inverse_star(J0, J1, start, h)
-    return _field(J.spec, start, _potential(w0, w1, start, l0, l1)[0])
+    return potential(LatticeOneForm((J1.shift(TIME, 1) / h.c0, J0.shift(SPACE, 1) / -h.c1)))
 
 
-@overflow_is_numeric
 def covariant_derivative(chi: LatticeField, A: LatticeOneForm) -> LatticeOneForm:
     """D chi = d chi + A chi, with chi commuted past the differentials."""
-    chi_values, start, (l0, l1) = _arrays(chi)
-    A0, A1, A_start, _ = _arrays(A)
-    d0, d1 = _d(chi_values, start, l0, l1)
-    win = intersect_windows(_window(start, d0.shape), A.spec.window)
-    (t, t_end), (x, x_end) = win
-    A0, A1 = (values_on(v, A_start, win) for v in (A0, A1))
-    chi_cut = values_on(chi_values, start, ((t, t_end + 1), (x, x_end + 1)))
-    d0, d1 = (values_on(v, start, win) for v in (d0, d1))
-    D0, D1 = _covariant(chi_cut, d0, d1, A0, A1)
-    return _one_form(chi.spec, (t, x), D0, D1)
+    chi = _plane_field(chi)
+    return LatticeOneForm(tuple(
+        forward_derivative(chi, mu) + A_mu * chi.shift(mu, 1)
+        for mu, A_mu in zip((TIME, SPACE), _components(A))
+    ))
 
 
 @dataclass

@@ -34,7 +34,6 @@ from ncgeom.lattice import (
     LatticeField,
     LatticeOneForm,
     LatticeSpec,
-    StructureTensor,
     exterior_derivative,
     intersect_windows,
 )
@@ -75,6 +74,8 @@ LINE_FIELD = LatticeField(LINE, np.exp(-BUMP))
 PLANE_FIELD = LatticeField.constant(PLANE, 1.0)
 LINE_FORM = exterior_derivative(LINE_FIELD)
 PLANE_FORM = exterior_derivative(PLANE_FIELD)
+PLANE_2X2 = LatticeField.identity(PLANE, 2)
+PLANE_3X3 = LatticeField.identity(PLANE, 3)
 DOUBLED = double(TWO_POINT)
 ARROW = Digraph.from_arrows(2, [(0, 1)])
 ARROW_CALCULUS = calculus_for(ARROW)
@@ -303,7 +304,6 @@ UNREACHED = {
     "index outside window": lambda: LINE_FIELD[4],
     "one-form component count": lambda: LatticeOneForm((LINE_FIELD, LINE_FIELD)),
     "no one-form components": lambda: LatticeOneForm(()),
-    "structure tensor shape": lambda: StructureTensor(np.zeros((2, 2, 3))),
     "non-square adjacency": lambda: AdjacencyMatrix(np.zeros((2, 3))),
     "non-square operator": lambda: base_matrix(np.zeros((2, 3))),
     "represent length": lambda: double(TWO_POINT).represent([1.0, 2.0, 3.0]),
@@ -341,6 +341,26 @@ UNREACHED = {
     "float h in field_residual": lambda: field_residual(PLANE_FORM, 1.0),
     "float h in invert_star_d": lambda: invert_star_d(PLANE_FORM, 1.0),
     "float h in current_ladder": lambda: current_ladder(PLANE_FIELD, 1.0),
+    "one-form of an int": lambda: LatticeOneForm(5),
+    "one-form minus an int": lambda: PLANE_FORM - 5,
+    "field_residual of a field": lambda: field_residual(PLANE_FIELD),
+    "potential of a field": lambda: potential(PLANE_FIELD),
+    "invert_star_d of a field": lambda: invert_star_d(PLANE_FIELD),
+    "covariant_derivative of a one-form": lambda: covariant_derivative(PLANE_FORM, PLANE_FORM),
+    "maurer_cartan of a one-form": lambda: maurer_cartan(PLANE_FORM),
+    "current_ladder of a one-form": lambda: current_ladder(PLANE_FORM),
+    "scalar plus matrix field": lambda: PLANE_FIELD + PLANE_2X2,
+    "matrix minus scalar field": lambda: PLANE_2X2 - PLANE_FIELD,
+    "2x2 plus 3x3 field": lambda: PLANE_2X2 + PLANE_3X3,
+    "2x2 minus 3x3 field": lambda: PLANE_2X2 - PLANE_3X3,
+    "2x2 times 3x3 field": lambda: PLANE_2X2 * PLANE_3X3,
+    "field plus a string": lambda: PLANE_FIELD + "a",
+    "field times None": lambda: PLANE_FIELD * None,
+    "field over a string": lambda: PLANE_FIELD / "a",
+    "field plus a list": lambda: PLANE_FIELD + [1, 2],
+    "scalar chi, matrix connection": lambda: covariant_derivative(
+        PLANE_FIELD, exterior_derivative(PLANE_2X2)
+    ),
     # matrix, calculus and Toda inputs likewise
     "string double": lambda: double(np.array([["a", "b"], ["c", "d"]])),
     "grading of another size": lambda: DoubledOperator(DOUBLED.block, np.eye(3)),

@@ -1,4 +1,7 @@
-"""Tests for windowed lattice fields, derivatives and structure tensors."""
+"""Tests for windowed lattice fields, one-forms and derivatives.
+
+The structure tensor is checked against the digraph calculus of the oriented
+grid in tests/test_finite_calculus.py."""
 
 import math
 
@@ -10,12 +13,8 @@ from ncgeom.lattice import (
     LatticeField,
     LatticeOneForm,
     LatticeSpec,
-    StructureTensor,
-    check_structure_consistency,
     exterior_derivative,
     forward_derivative,
-    lattice_structure_tensor,
-    metric_from_structure,
 )
 
 
@@ -94,52 +93,6 @@ def test_forward_derivative_first_order_convergence():
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     for order in orders:
         assert order == pytest.approx(1.0, abs=0.2)
-
-
-# -- structure tensors --------------------------------------------------
-
-
-def test_lattice_tensor_is_consistent():
-    c = lattice_structure_tensor([1.0, 0.5, 2.0])
-    report = check_structure_consistency(c)
-    assert report.ok
-    assert report.symmetry_residual == 0.0
-    assert report.commutation_residual == 0.0
-
-
-def test_asymmetric_tensor_flagged():
-    arr = np.zeros((2, 2, 2))
-    arr[0, 1, 0] = 1.0  # no matching [1, 0, 0] entry
-    report = check_structure_consistency(StructureTensor(arr))
-    assert not report.ok
-    assert report.symmetry_residual > 0
-
-
-def test_one_dimensional_tensor_always_commutes():
-    c = StructureTensor(np.full((1, 1, 1), 3.7))
-    assert check_structure_consistency(c).ok
-
-
-def test_metric_of_lattice_tensor():
-    sp = [1.0, 0.5, 0.25]
-    g = metric_from_structure(lattice_structure_tensor(sp))
-    assert np.allclose(g, np.diag([s * s for s in sp]))
-
-
-def test_metric_zero_and_identity_cases():
-    z = StructureTensor(np.zeros((3, 3, 3)))
-    assert np.all(metric_from_structure(z) == 0)
-    arr = np.stack([np.eye(2), np.eye(2)])
-    g = metric_from_structure(StructureTensor(arr))
-    assert np.array_equal(g, np.full((2, 2), 2.0))
-
-
-def test_metric_is_symmetric_for_random_tensors():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        c = StructureTensor(rng.normal(size=(3, 3, 3)))
-        g = metric_from_structure(c)
-        assert np.allclose(g, g.T)
 
 
 # -- field plumbing ------------------------------------------------------

@@ -444,25 +444,25 @@ def offset_source():
     return LatticeField(two_dim_spec(0.5, 1.0, (3, 53), (-5, 11)), np.exp(-run))
 
 
-@pytest.mark.parametrize(
-    "source, h, m_max",
-    [
-        (lambda: toda_solution_field(n_sites=16, steps=50), HodgeStar(), 3),
-        (matrix_source, HodgeStar(), 2),
-        (lambda: toda_solution_field(n_sites=6, steps=4, amp=0.1), HodgeStar(), 5),
-        (lambda: toda_solution_field(n_sites=16, steps=50), HodgeStar(2.0, -2.0), 3),
-        (offset_source, HodgeStar(), 3),
-        (matrix_source, HodgeStar(2.0, -2.0), 3),
-    ],
-    ids=[
-        "bump16x50",
-        "block_diagonal",
-        "exhausted6x4",
-        "star2",
-        "offset_window",
-        "block_diagonal_star2",
-    ],
-)
+LADDER_SOURCES = [
+    (lambda: toda_solution_field(n_sites=16, steps=50), HodgeStar(), 3),
+    (matrix_source, HodgeStar(), 2),
+    (lambda: toda_solution_field(n_sites=6, steps=4, amp=0.1), HodgeStar(), 5),
+    (lambda: toda_solution_field(n_sites=16, steps=50), HodgeStar(2.0, -2.0), 3),
+    (offset_source, HodgeStar(), 3),
+    (matrix_source, HodgeStar(2.0, -2.0), 3),
+]
+LADDER_IDS = [
+    "bump16x50",
+    "block_diagonal",
+    "exhausted6x4",
+    "star2",
+    "offset_window",
+    "block_diagonal_star2",
+]
+
+
+@pytest.mark.parametrize("source, h, m_max", LADDER_SOURCES, ids=LADDER_IDS)
 def test_ladder_matches_the_lattice_primitives_byte_for_byte(source, h, m_max):
     a = source()
     got, want = current_ladder(a, h, m_max), reference_ladder(a, h, m_max)
@@ -474,6 +474,58 @@ def test_ladder_matches_the_lattice_primitives_byte_for_byte(source, h, m_max):
     for g, w in zip(got.currents, want.currents):
         for gc, wc in zip(g.components, w.components):
             assert_same_bytes(gc, wc)
+
+
+@pytest.mark.parametrize("source, h, _", LADDER_SOURCES, ids=LADDER_IDS)
+def test_public_steps_rebuild_the_ladder_byte_for_byte(source, h, _):
+    # the steps are formulas over the primitives, separate from the kernel
+    ladder = current_ladder(source(), h, m_max=5)
+    chis, currents = ladder.chis, ladder.currents
+    for m in range(ladder.depth):
+        assert field_residual(currents[m], h).max_abs() == ladder.residuals[m]
+    for m in range(1, ladder.depth):
+        assert_same_bytes(invert_star_d(currents[m - 1], h), chis[m])
+        D = covariant_derivative(chis[m], currents[0])
+        for got, want in zip(D.components, currents[m].components):
+            assert_same_bytes(got, want)
+
+
+def covariant_reference(chi, A0, A1, l0, l1):
+    """(d_0 chi + A0 chi(t + 1), d_1 chi + A1 chi(x + 1)) on arrays that
+    share their first site and A's shape."""
+    n, m = A0.shape[:2]
+    ahead0, ahead1, here = chi[1 : n + 1, :m], chi[:n, 1 : m + 1], chi[:n, :m]
+    if chi.ndim > A0.ndim:  # a scalar connection scales each matrix value
+        A0, A1 = A0[..., None, None], A1[..., None, None]
+    return (ahead0 - here) / l0 + A0 * ahead0, (ahead1 - here) / l1 + A1 * ahead1
+
+
+def test_covariant_derivative_on_an_offset_connection_window():
+    rng = np.random.default_rng(13)
+    chi = LatticeField(two_dim_spec(0.5, 2.0, (0, 8), (0, 8)), rng.normal(size=(8, 8)))
+    spec = two_dim_spec(0.5, 2.0, (2, 9), (-1, 5))
+    A = random_one_form(rng, spec)
+    D = covariant_derivative(chi, A)
+    assert D.spec.window == ((2, 7), (0, 5))
+    want = covariant_reference(
+        chi.values[2:], *(c.values[:5, 1:] for c in A.components), 0.5, 2.0
+    )
+    for got, w in zip(D.components, want):
+        assert np.array_equal(got.values, w)
+
+
+def test_covariant_derivative_of_a_matrix_chi_by_a_scalar_connection():
+    # once a bare ValueError from broadcasting
+    rng = np.random.default_rng(14)
+    spec = two_dim_spec(1.0, 0.5, (0, 6), (0, 6))
+    chi = LatticeField(spec, rng.normal(size=(6, 6, 2, 2)))
+    A = random_one_form(rng, spec)
+    D = covariant_derivative(chi, A)
+    assert D.spec.window == ((0, 5), (0, 5))
+    want = covariant_reference(chi.values, *(c.values[:5, :5] for c in A.components), 1.0, 0.5)
+    for got, w in zip(D.components, want):
+        assert got.values.shape == (5, 5, 2, 2)
+        assert np.array_equal(got.values, w)
 
 
 # -- discrete Toda ---------------------------------------------------------
